@@ -1,7 +1,8 @@
 """Command-line interface (`ncrewrite`).
 
 Exit codes: 0 on success or match, 1 on divergence/violation/unknown,
-2 on usage errors (argparse default).
+2 on usage errors (argparse default) and on bad input: a malformed or
+missing file, or a letter outside the alphabet.
 """
 
 from __future__ import annotations
@@ -220,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # AlphabetError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

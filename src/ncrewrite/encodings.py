@@ -16,7 +16,7 @@ from typing import Optional
 from .orders import NILPOTENCY, ZERO_DIVISOR, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import TMConfig, TMSpec
-from .words import Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
+from .words import AlphabetError, Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
 
 
 def nilpotency_presentation(spec: TMSpec) -> Presentation:
@@ -248,30 +248,37 @@ def parse_presentation(text: str) -> Presentation:
 
     alphabet: tuple[str, ...] = ()
     kind = ""
-    rules: list[Rule] = []
+    rule_lines: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("alphabet:"):
-            alphabet = tuple(line.split(":", 1)[1].split())
+            alphabet = parse_word(line.split(":", 1)[1])
         elif line.startswith("order:"):
             kind = line.split(":", 1)[1].strip()
         elif line.startswith("rule:"):
-            body = line.split(":", 1)[1]
-            body, _, comment = body.partition("#")
-            tag = comment.strip()
-            lhs_text, arrow, rhs_text = body.partition("->")
-            if not arrow:
-                raise ValueError(f"bad rule line: {raw!r}")
-            lhs = parse_word(lhs_text)
-            rhs_text = rhs_text.strip()
-            rhs = None if rhs_text == "0" else parse_word(rhs_text)
-            rules.append(Rule(lhs, rhs, tag))
+            rule_lines.append(raw)
         else:
             raise ValueError(f"bad line: {raw!r}")
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
+    letters = frozenset(alphabet)
+    rules: list[Rule] = []
+    for raw in rule_lines:
+        body = raw.split(":", 1)[1]
+        body, _, comment = body.partition("#")
+        tag = comment.strip()
+        lhs_text, arrow, rhs_text = body.partition("->")
+        if not arrow:
+            raise ValueError(f"bad rule line: {raw!r}")
+        try:
+            lhs = parse_word(lhs_text, letters)
+            rhs_text = rhs_text.strip()
+            rhs = None if rhs_text == "0" else parse_word(rhs_text, letters)
+        except AlphabetError as exc:
+            raise AlphabetError(f"{exc} in rule line: {raw.strip()!r}") from None
+        rules.append(Rule(lhs, rhs, tag))
     order = ReductionOrder(kind, alphabet)
     construction = kind if kind in (NILPOTENCY, ZERO_DIVISOR) else "custom"
     return Presentation(alphabet=alphabet, rules=tuple(rules), order=order, construction=construction)

@@ -108,6 +108,14 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
     Checks: empty word minimal; distinct words never compare Equal; and
     for every pair s1 < s2 and every letter x, x*s1 < x*s2 and
     s1*x < s2*x.  Exponential in max_len; callers keep it small.
+
+    The words are sorted once.  For each letter and side, the keys of the
+    extended words form a column down the sorted list; row i holds for
+    every later row exactly when its key is below the minimum of all later
+    keys, so one pass from the bottom decides all pairs (the keys must be
+    totally ordered by ``<``, as tuples of ints are).  Only failing rows
+    are walked pair by pair, which lists the violations in (s1, s2, x,
+    side) order.
     """
     report = OrderAuditReport(alphabet=tuple(alphabet), max_len=max_len)
     words: list[Word] = [()]
@@ -115,14 +123,6 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
         words.extend(itertools.product(alphabet, repeat=n))
 
     keys = {w: order.sort_key(w) for w in words}
-    key_cache: dict[Word, tuple] = dict(keys)
-
-    def key_of(w: Word):
-        k = key_cache.get(w)
-        if k is None:
-            k = order.sort_key(w)
-            key_cache[w] = k
-        return k
 
     empty_key = keys[()]
     for w in words:
@@ -137,17 +137,47 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
         if keys[a] == keys[b]:
             report.violations.append(("totality", a, b))
 
-    for i, s1 in enumerate(ranked):
-        k1 = keys[s1]
-        for s2 in ranked[i + 1:]:
-            # sorted order gives s1 < s2 (totality violations reported above)
-            for x in alphabet:
-                report.checks += 2
-                if not key_of((x,) + s1) < key_of((x,) + s2):
-                    report.violations.append(("left", x, s1, s2))
-                if not key_of(s1 + (x,)) < key_of(s2 + (x,)):
-                    report.violations.append(("right", x, s1, s2))
+    n = len(ranked)
+    report.checks += len(alphabet) * n * (n - 1)
+    if n < 2:  # no pairs, so no extended word is keyed
+        return report
+
+    def key_of(w: Word):
+        k = keys.get(w)
+        return order.sort_key(w) if k is None else k
+
+    failing: set[int] = set()
+    columns: dict[tuple[str, str], list] = {}  # only those with a failing row
+    for x in alphabet:
+        left = [key_of((x,) + s) for s in ranked]
+        right = [key_of(s + (x,)) for s in ranked]
+        for side, column in (("left", left), ("right", right)):
+            rows = _rows_not_below_later(column)
+            if rows:
+                failing.update(rows)
+                columns[x, side] = column
+
+    broken = [(side, x, columns[x, side]) for x in alphabet for side in ("left", "right")
+              if (x, side) in columns]
+    for i in sorted(failing):
+        for j in range(i + 1, n):
+            for side, x, column in broken:
+                if not column[i] < column[j]:
+                    report.violations.append((side, x, ranked[i], ranked[j]))
     return report
+
+
+def _rows_not_below_later(column: list) -> list[int]:
+    """Rows i whose entry is not below every entry after it."""
+    rows = []
+    later_min = column[-1]
+    for i in range(len(column) - 2, -1, -1):
+        k = column[i]
+        if k < later_min:
+            later_min = k
+        else:
+            rows.append(i)
+    return rows
 
 
 def audit_orientation(p: Presentation) -> list[int]:

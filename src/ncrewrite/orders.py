@@ -20,9 +20,28 @@ NILPOTENCY = "nilpotency"
 ZERO_DIVISOR = "zerodivisor"
 DEGLEX = "deglex"
 
+# letter kinds the nilpotency alphabet has no place for
+_NILP_FORBIDDEN = ("s", "L")
+
 
 def deg_t(w: Word) -> int:
     return w.count("t")
+
+
+def _height(w: Word) -> int:
+    # each t doubles the weight of every letter to its right
+    total = 0
+    weight = 1
+    for letter in w:
+        if letter == "t":
+            weight *= 2
+        else:
+            total += weight
+    return total
+
+
+def _weighted_degree(w: Word) -> int:
+    return len(w) + w.count("t")
 
 
 def height(w: Word) -> int:
@@ -32,26 +51,16 @@ def height(w: Word) -> int:
     height is sum 2^i * |X_i|.
     """
     for letter in w:
-        if letter_kind(letter) in ("s", "L"):
+        if letter_kind(letter) in _NILP_FORBIDDEN:
             raise AlphabetError(f"letter {letter!r} not allowed here")
-    total = 0
-    block = 0
-    weight = 1
-    for letter in w:
-        if letter == "t":
-            total += weight * block
-            block = 0
-            weight *= 2
-        else:
-            block += 1
-    return total + weight * block
+    return _height(w)
 
 
 def weighted_degree(w: Word) -> int:
     """Degree with weight 2 for t and 1 for every other letter."""
     for letter in w:
         letter_kind(letter)  # validates token shape
-    return len(w) + w.count("t")
+    return _weighted_degree(w)
 
 
 class ReductionOrder:
@@ -62,12 +71,15 @@ class ReductionOrder:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.precedence = tuple(precedence)
-        self._rank = {x: i for i, x in enumerate(self.precedence)}
+        self._neg_rank = {x: -i for i, x in enumerate(self.precedence)}
+        # classify (and so validate) each letter once, so sort_key runs no
+        # regex per letter
+        forbidden = _NILP_FORBIDDEN if kind == NILPOTENCY else ()
+        self._forbidden = frozenset(x for x in self.precedence if letter_kind(x) in forbidden)
 
     def _lex(self, w: Word) -> tuple[int, ...]:
-        rank = self._rank
         try:
-            return tuple(-rank[x] for x in w)
+            return tuple(map(self._neg_rank.__getitem__, w))
         except KeyError as exc:
             raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet") from None
 
@@ -75,9 +87,12 @@ class ReductionOrder:
         """Key such that key(w1) < key(w2) iff w1 precedes w2."""
         lex = self._lex(w)
         if self.kind == NILPOTENCY:
-            return (deg_t(w), height(w), len(w), lex)
+            if not self._forbidden.isdisjoint(w):
+                letter = next(x for x in w if x in self._forbidden)
+                raise AlphabetError(f"letter {letter!r} not allowed here")
+            return (deg_t(w), _height(w), len(w), lex)
         if self.kind == ZERO_DIVISOR:
-            return (weighted_degree(w), lex)
+            return (_weighted_degree(w), lex)
         return (len(w), lex)
 
     def compare(self, w1: Word, w2: Word) -> int:

@@ -8,7 +8,7 @@ A word is a tuple of letter tokens.  Tokens are ``t``, ``s``, ``L``, ``R``,
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import AbstractSet, Iterable, Optional
 
 Word = tuple[str, ...]
 
@@ -74,15 +74,24 @@ def psi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
     )
 
 
-def parse_word(text: str) -> Word:
-    """Parse whitespace-separated letter tokens; ``eps`` is the empty word."""
+def parse_word(text: str, alphabet: Optional[AbstractSet[str]] = None) -> Word:
+    """Parse whitespace-separated letter tokens; ``eps`` is the empty word.
+
+    Without ``alphabet`` every token must have the shape of a letter; with
+    it, every token must be a member of it.
+    """
     text = text.strip()
     if not text or text == "eps":
         return EPS
     letters = tuple(text.split())
-    for letter in letters:
-        if not _LETTER_RE.match(letter):
-            raise AlphabetError(f"not a letter: {letter!r}")
+    if alphabet is None:
+        for letter in letters:
+            if not _LETTER_RE.match(letter):
+                raise AlphabetError(f"not a letter: {letter!r}")
+    else:
+        for letter in letters:
+            if letter not in alphabet:
+                raise AlphabetError(f"letter {letter!r} outside alphabet")
     return letters
 
 

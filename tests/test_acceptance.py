@@ -19,6 +19,8 @@ from ncrewrite import (
     nilpotency_order,
     nilpotency_presentation,
     normalize,
+    phi_alphabet,
+    psi_alphabet,
     tm_run,
     zerodivisor_order,
     zerodivisor_presentation,
@@ -52,13 +54,19 @@ def test_criterion_2_orientation(p_nilp, p_zd):
 
 def test_criterion_3_order_axioms():
     t0 = time.perf_counter()
-    r1 = audit_order(nilpotency_order(), ("t", "a0", "R"), 4)
-    r2 = audit_order(zerodivisor_order(), ("t", "s", "a0", "L", "R"), 4)
-    assert r1.ok, r1.violations[:5]
-    assert r2.ok, r2.violations[:5]
+    audits = [
+        (nilpotency_order(), ("t", "a0", "R"), 7),
+        (zerodivisor_order(), ("t", "s", "a0", "L", "R"), 6),
+        (nilpotency_order(), phi_alphabet(), 3),
+        (zerodivisor_order(), psi_alphabet(), 3),
+    ]
+    for order, alphabet, max_len in audits:
+        r = audit_order(order, alphabet, max_len)
+        assert r.ok, (order.kind, len(alphabet), max_len, r.violations[:5])
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(3, "order axioms hold exhaustively to length 4")
+    report(3, "order axioms hold exhaustively to length 7 (nilpotency) and 6 (zero-divisor) "
+              "on sub-alphabets, and to length 3 on both full alphabets")
 
 
 def test_criterion_4_confluence(p_nilp, p_zd):

@@ -107,3 +107,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["normalize"])  # missing required arguments
     assert exc.value.code == 2
+
+
+def test_letter_outside_order_is_usage_error(capsys):
+    rc = main(["verify-order", "--order", "nilpotency", "--alphabet", "t s", "--max-len", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'s'" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_missing_config_is_usage_error(tmp_path, capsys):
+    rc = main(["tm-run", "--config", str(tmp_path / "missing.txt"), "--budget", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "missing.txt" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_rule_letter_outside_alphabet_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "stray.rules"
+    path.write_text("alphabet: t R\norder: nilpotency\nrule: t Q3 -> R\n")
+    rc = main(["overlaps", "--presentation", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ambiguities" not in captured.out
+    assert captured.err.startswith("error: ") and "'Q3'" in captured.err

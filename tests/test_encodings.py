@@ -5,6 +5,7 @@ import pytest
 from ncrewrite import (
     NILPOTENCY,
     ZERO_DIVISOR,
+    AlphabetError,
     Polynomial,
     TMConfig,
     decode_structure,
@@ -158,3 +159,13 @@ class TestPresentationText:
         w = parse_word("t R a1 Q2 P3 a0 R")
         nf, _ = normalize(Polynomial.from_word(w), q)
         assert nf == Polynomial.from_word(parse_word("R Q4 P1 a1 a0 R t"))
+
+    @pytest.mark.parametrize("text,bad", [
+        ("alphabet: t R\norder: nilpotency\nrule: t Q3 -> R\n", "'Q3'"),
+        ("alphabet: t R\norder: nilpotency\nrule: t R -> R a0\n", "'a0'"),
+        ("rule: t Q3 -> 0\nalphabet: t R\norder: nilpotency\n", "'Q3'"),
+        ("alphabet: t x9 R\norder: nilpotency\nrule: t R -> R t\n", "'x9'"),
+    ])
+    def test_rejects_letters_outside_alphabet(self, text, bad):
+        with pytest.raises(AlphabetError, match=bad):
+            parse_presentation(text)

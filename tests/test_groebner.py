@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from ncrewrite import (
@@ -11,7 +14,7 @@ from ncrewrite import (
     zerodivisor_order,
 )
 from ncrewrite.encodings import nilpotency_presentation, zerodivisor_presentation
-from ncrewrite.groebner import INCLUSION, OVERLAP, naive_ambiguity_scan
+from ncrewrite.groebner import INCLUSION, OVERLAP, OrderAuditReport, naive_ambiguity_scan
 from ncrewrite.orders import deglex_order
 
 
@@ -102,6 +105,103 @@ class TestAuditOrder:
         kinds = {v[0] for v in report.violations}
         assert "minimality" in kinds
         assert "totality" in kinds
+
+
+def all_pairs_audit(order, alphabet, max_len):
+    """All-pairs order audit; test oracle for audit_order."""
+    report = OrderAuditReport(alphabet=tuple(alphabet), max_len=max_len)
+    words = [()]
+    for n in range(1, max_len + 1):
+        words.extend(itertools.product(alphabet, repeat=n))
+
+    keys = {w: order.sort_key(w) for w in words}
+    key_cache = dict(keys)
+
+    def key_of(w):
+        k = key_cache.get(w)
+        if k is None:
+            k = order.sort_key(w)
+            key_cache[w] = k
+        return k
+
+    empty_key = keys[()]
+    for w in words:
+        if w:
+            report.checks += 1
+            if not empty_key < keys[w]:
+                report.violations.append(("minimality", w))
+
+    ranked = sorted(words, key=keys.__getitem__)
+    for a, b in zip(ranked, ranked[1:]):
+        report.checks += 1
+        if keys[a] == keys[b]:
+            report.violations.append(("totality", a, b))
+
+    for i, s1 in enumerate(ranked):
+        for s2 in ranked[i + 1:]:
+            for x in alphabet:
+                report.checks += 2
+                if not key_of((x,) + s1) < key_of((x,) + s2):
+                    report.violations.append(("left", x, s1, s2))
+                if not key_of(s1 + (x,)) < key_of(s2 + (x,)):
+                    report.violations.append(("right", x, s1, s2))
+    return report
+
+
+class KeyOrder:
+    """A candidate order given only by a key function."""
+
+    def __init__(self, key):
+        self.sort_key = key
+
+
+class RandomRanks:
+    """Every word gets a random rank: total, but neither monotone nor minimal."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.ranks = {}
+
+    def sort_key(self, w):
+        if w not in self.ranks:
+            self.ranks[w] = (self.rng.random(),)
+        return self.ranks[w]
+
+
+MINSKY_CASES = [
+    pytest.param(nilpotency_order(), ("t", "a0", "R"), n, id=f"nilpotency-len{n}") for n in range(4)
+] + [
+    pytest.param(zerodivisor_order(), ("t", "s", "a0", "L", "R"), n, id=f"zerodivisor-len{n}") for n in range(4)
+]
+BAD_CASES = [
+    # parity of a1 flips under multiplication by a1: left and right violations
+    pytest.param(KeyOrder(lambda w: (len(w), w.count("a1") % 2, w)), ("a0", "a1", "a2"), 3,
+                 id="parity-not-monotone"),
+    # commutative key: permutations tie, so totality and both sides fail
+    pytest.param(KeyOrder(lambda w: (len(w), tuple(sorted(w)))), ("a0", "a1", "a2"), 3, id="sorted-ties"),
+    pytest.param(KeyOrder(lambda w: (-len(w),)), ("a0", "a1"), 2, id="reversed-degree"),
+    pytest.param(RandomRanks(7), ("a0", "a1", "a2"), 3, id="random-ranks"),
+    pytest.param(deglex_order(("a0", "a1")), ("a0", "a1", "a0"), 2, id="repeated-letter"),
+]
+
+
+
+
+class TestAuditOrderOracle:
+    @pytest.mark.parametrize("order,alphabet,max_len", MINSKY_CASES + BAD_CASES)
+    def test_matches_all_pairs(self, order, alphabet, max_len):
+        fast = audit_order(order, alphabet, max_len)
+        slow = all_pairs_audit(order, alphabet, max_len)
+        assert fast.checks == slow.checks
+        assert fast.violations == slow.violations
+
+    def test_bad_orders_have_violations_of_every_side(self):
+        kinds = {
+            v[0]
+            for case in BAD_CASES
+            for v in audit_order(*case.values).violations
+        }
+        assert kinds == {"minimality", "totality", "left", "right"}
 
 
 class TestAuditOrientation:

@@ -14,7 +14,8 @@ from ncrewrite import (
     weighted_degree,
     zerodivisor_order,
 )
-from ncrewrite.orders import EQUAL, GREATER, LESS
+from ncrewrite.orders import DEGLEX, EQUAL, GREATER, LESS, NILPOTENCY, ReductionOrder, deg_t
+from ncrewrite.words import psi_alphabet
 
 
 def brute_height(w):
@@ -138,3 +139,25 @@ def test_nilp_compatibility_random(l1, l2, x):
     c = order.compare(w1, w2)
     assert order.compare((x,) + w1, (x,) + w2) == c
     assert order.compare(w1 + (x,), w2 + (x,)) == c
+
+
+class TestSortKey:
+    @given(st.lists(st.sampled_from(["t", "a0", "a3", "Q6", "P1", "R"]), max_size=10))
+    def test_nilp_key_matches_public_measures(self, letters):
+        order, w = nilpotency_order(), tuple(letters)
+        key = order.sort_key(w)
+        assert key[:3] == (deg_t(w), height(w), len(w))
+
+    @given(st.lists(st.sampled_from(["t", "s", "a2", "Q0", "P3", "L", "R"]), max_size=10))
+    def test_zd_key_matches_weighted_degree(self, letters):
+        w = tuple(letters)
+        assert zerodivisor_order().sort_key(w)[0] == weighted_degree(w)
+
+    def test_nilp_key_rejects_psi_letters_in_precedence(self):
+        order = ReductionOrder(NILPOTENCY, psi_alphabet())
+        with pytest.raises(AlphabetError, match="'L' not allowed"):
+            order.sort_key(("t", "L", "s"))
+
+    def test_precedence_letters_validated(self):
+        with pytest.raises(AlphabetError):
+            ReductionOrder(DEGLEX, ("a0", "x1"))
