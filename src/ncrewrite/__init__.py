@@ -1,5 +1,7 @@
 """Noncommutative free-algebra rewriting engine with Turing-machine encodings."""
 
+import types as _types
+
 from .words import (
     EPS,
     AlphabetError,
@@ -14,8 +16,6 @@ from .orders import (
     NILPOTENCY,
     ZERO_DIVISOR,
     ReductionOrder,
-    compare_nilp,
-    compare_zd,
     deg_t,
     height,
     nilpotency_order,
@@ -33,8 +33,6 @@ from .rewrite import (
     format_polynomial,
     normalize,
     parse_polynomial,
-    power_normalize,
-    reduce_once,
 )
 from .groebner import (
     Ambiguity,
@@ -79,6 +77,10 @@ from .harness import (
     zerodivisor_witness_bounded,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too; export only what they define
+__all__ = [
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
+]
 
 __version__ = "0.1.0"

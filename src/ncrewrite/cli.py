@@ -1,8 +1,9 @@
 """Command-line interface (`ncrewrite`).
 
-Exit codes: 0 on success or match, 1 on divergence/violation/unknown,
-2 on usage errors (argparse default) and on bad input: a malformed or
-missing file, or a letter outside the alphabet.
+Exit codes: 0 on success or match, 1 on divergence/violation/unknown
+(an exhausted rewrite budget leaves the answer unknown), 2 on usage
+errors (argparse default) and on bad input: a malformed or missing file,
+a letter outside the alphabet, or a negative bound.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .harness import (
     zerodivisor_witness_bounded,
 )
 from .orders import NILPOTENCY, ZERO_DIVISOR, nilpotency_order, zerodivisor_order
-from .rewrite import Polynomial, format_polynomial, normalize
+from .rewrite import BudgetExhausted, Polynomial, format_polynomial, normalize
 from .turing import format_config, minsky_utm, parse_config, parse_tm_spec, tm_run
 from .words import parse_word, word_to_str
 
@@ -223,6 +224,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExhausted as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:  # AlphabetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

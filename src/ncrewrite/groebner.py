@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .orders import ReductionOrder
-from .rewrite import Polynomial, Presentation, _apply, normalize
+from .rewrite import Presentation, _apply, normalize
 from .words import Word
 
 OVERLAP = "overlap"
@@ -117,6 +116,8 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
     are walked pair by pair, which lists the violations in (s1, s2, x,
     side) order.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     report = OrderAuditReport(alphabet=tuple(alphabet), max_len=max_len)
     words: list[Word] = [()]
     for n in range(1, max_len + 1):
@@ -187,21 +188,3 @@ def audit_orientation(p: Presentation) -> list[int]:
         if r.rhs is not None and not p.order.greater(r.lhs, r.rhs):
             bad.append(rid)
     return bad
-
-
-def naive_ambiguity_scan(p: Presentation) -> list[Ambiguity]:
-    """Quadratic pairwise scan; test oracle for find_ambiguities."""
-    lhss = [r.lhs for r in p.rules]
-    out: list[Ambiguity] = []
-    for r1, lhs1 in enumerate(lhss):
-        for r2, lhs2 in enumerate(lhss):
-            for k in range(1, len(lhs1)):
-                suffix = lhs1[k:]
-                if len(suffix) < len(lhs2) and lhs2[:len(suffix)] == suffix:
-                    out.append(Ambiguity(OVERLAP, r1, r2, lhs1 + lhs2[len(suffix):], 0, k))
-            for i in range(len(lhs1) - len(lhs2) + 1):
-                if lhs1[i:i + len(lhs2)] == lhs2:
-                    if r1 == r2 and len(lhs1) == len(lhs2):
-                        continue
-                    out.append(Ambiguity(INCLUSION, r1, r2, lhs1, 0, i))
-    return out

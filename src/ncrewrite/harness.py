@@ -78,6 +78,7 @@ def lockstep(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    c0.validate(spec)
     p = presentation if presentation is not None else make_presentation(spec, construction)
     tail = ("t",) if construction == NILPOTENCY else ("s",)
     records: list[StepRecord] = []
@@ -118,6 +119,7 @@ def annihilate_bounded(
     """Smallest N <= nmax with t^N * encode(c0) normalizing to zero."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    c0.validate(spec)
     p = presentation if presentation is not None else make_presentation(spec, construction)
     t = Polynomial.from_word(("t",))
     x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p, budget)
@@ -138,6 +140,7 @@ def nilpotent_bounded(
     """Smallest n <= nmax with (t * encode(c0))^n normalizing to zero."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    c0.validate(spec)
     p = presentation if presentation is not None else nilpotency_presentation(spec)
     base = Polynomial.from_word(("t",) + encode_config(c0, NILPOTENCY))
     acc, _ = normalize(base, p, budget)
@@ -194,6 +197,8 @@ def cancellation_probe(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     rng = random.Random(seed)
     spec = spec if spec is not None else minsky_utm()
     p = zerodivisor_presentation(spec)

@@ -116,21 +116,3 @@ def nilpotency_order(states: int = 7, colors: int = 4) -> ReductionOrder:
 
 def zerodivisor_order(states: int = 7, colors: int = 4) -> ReductionOrder:
     return ReductionOrder(ZERO_DIVISOR, psi_alphabet(states, colors))
-
-
-def deglex_order(precedence: tuple[str, ...]) -> ReductionOrder:
-    return ReductionOrder(DEGLEX, precedence)
-
-
-_NILP_DEFAULT = nilpotency_order()
-_ZD_DEFAULT = zerodivisor_order()
-
-
-def compare_nilp(w1: Word, w2: Word) -> int:
-    """Compare two words over the default nilpotency alphabet."""
-    return _NILP_DEFAULT.compare(w1, w2)
-
-
-def compare_zd(w1: Word, w2: Word) -> int:
-    """Compare two words over the default zero-divisor alphabet."""
-    return _ZD_DEFAULT.compare(w1, w2)

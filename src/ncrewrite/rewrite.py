@@ -3,7 +3,7 @@
 All rules here are monic monomial -> monomial (or zero), so rewriting a
 word either yields another word or kills the term.  Polynomials (formal
 rational combinations of words) exist for subtraction-based equality
-tests and for powers of words.
+tests and for the products the bounded deciders build.
 
 Redex search uses an Aho-Corasick automaton over all rule left-hand
 sides; after a rewrite, matching restarts just far enough to the left to
@@ -91,9 +91,6 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return concat(self, other)
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
@@ -220,25 +217,6 @@ class BudgetExhausted(RuntimeError):
         self.remaining_redexes = remaining_redexes
 
 
-def reduce_once(w: Word, p: Presentation) -> Optional[Polynomial]:
-    """Apply one rule at the leftmost redex; None if w is in normal form."""
-    check_alphabet(w, p.alphabet)
-    hit = _pick_redex(w, p, 0, "leftmost")
-    if hit is None:
-        return None
-    return _apply(w, p, hit)
-
-
-def _pick_redex(w: Word, p: Presentation, start: int, strategy: str):
-    matches = p.matcher.redexes(w, start)
-    if not matches:
-        return None
-    if strategy == "leftmost":
-        return matches[0]
-    pos = max(m[0] for m in matches)
-    return min(m for m in matches if m[0] == pos)
-
-
 def _apply(w: Word, p: Presentation, hit: tuple[int, int]) -> Polynomial:
     pos, rid = hit
     rule = p.rules[rid]
@@ -247,47 +225,45 @@ def _apply(w: Word, p: Presentation, hit: tuple[int, int]) -> Polynomial:
     return Polynomial.from_word(w[:pos] + rule.rhs + w[pos + len(rule.lhs):])
 
 
-def _normalize_word(
-    w: Word, p: Presentation, budget: int, strategy: str
-) -> tuple[Optional[Word], int]:
-    """Normal form of a single word (None when it reduces to zero)."""
+def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Word], int]:
+    """Normal form of a single word (None when it reduces to zero).
+
+    Rewrites the leftmost redex each time; by confluence any other choice
+    reaches the same normal form.
+    """
     matcher = p.matcher
     steps = 0
     start = 0
     while True:
-        hit = _pick_redex(w, p, start, strategy)
-        if hit is None:
+        matches = matcher.redexes(w, start)
+        if not matches:
             return w, steps
         if steps >= budget:
             raise BudgetExhausted(
                 Polynomial.from_word(w), steps, len(matcher.redexes(w))
             )
-        pos, rid = hit
+        pos, rid = matches[0]
         rule = p.rules[rid]
         steps += 1
         if rule.rhs is None:
             return None, steps
         w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
-        if strategy == "leftmost":
-            # no redex starts left of the changed region; rescan from there
-            start = max(0, pos - matcher.max_len + 1)
-        else:
-            start = 0
+        # no redex starts left of the changed region; rescan from there
+        start = max(0, pos - matcher.max_len + 1)
 
 
 def normalize(
-    x: Polynomial,
-    p: Presentation,
-    budget: int = DEFAULT_BUDGET,
-    strategy: str = "leftmost",
+    x: Polynomial, p: Presentation, budget: int = DEFAULT_BUDGET
 ) -> tuple[Polynomial, int]:
     """Unique normal form of x together with the rewrite steps used."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     total = 0
     result = Polynomial.zero()
     for w, c in x.terms.items():
         check_alphabet(w, p.alphabet)
         try:
-            nf, steps = _normalize_word(w, p, budget - total, strategy)
+            nf, steps = _normalize_word(w, p, budget - total)
         except BudgetExhausted as exc:
             raise BudgetExhausted(exc.partial, total + exc.steps, exc.remaining_redexes)
         total += steps
@@ -299,19 +275,3 @@ def normalize(
 def equal_in_algebra(x: Polynomial, y: Polynomial, p: Presentation) -> bool:
     nf, _ = normalize(x - y, p)
     return nf.is_zero()
-
-
-def power_normalize(
-    w: Word, n: int, p: Presentation, budget: int = DEFAULT_BUDGET
-) -> Polynomial:
-    """Normal form of the n-th concatenation power of w."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    base = Polynomial.from_word(w)
-    acc, used = normalize(base, p, budget)
-    for _ in range(n - 1):
-        if acc.is_zero():
-            return acc
-        acc, steps = normalize(concat(acc, base), p, budget - used)
-        used += steps
-    return acc

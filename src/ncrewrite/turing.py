@@ -77,7 +77,6 @@ class RunResult:
     halted: bool
     steps: int
     config: TMConfig
-    trace: Optional[tuple[TMConfig, ...]] = None
 
 
 def minsky_utm() -> TMSpec:
@@ -133,20 +132,19 @@ def tm_step(spec: TMSpec, c: TMConfig) -> Optional[TMConfig]:
     return TMConfig(c.left + (entry.color,), entry.state, 0, ())
 
 
-def tm_run(spec: TMSpec, c: TMConfig, budget: int, keep_trace: bool = False) -> RunResult:
+def tm_run(spec: TMSpec, c: TMConfig, budget: int) -> RunResult:
     """Iterate tm_step up to budget steps."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     c.validate(spec)
-    trace = [c] if keep_trace else None
     for k in range(budget + 1):
         nxt = tm_step(spec, c)
         if nxt is None:
-            return RunResult(True, k, c, tuple(trace) if trace else None)
+            return RunResult(True, k, c)
         if k == budget:
             break
         c = nxt
-        if trace is not None:
-            trace.append(c)
-    return RunResult(False, budget, c, tuple(trace) if trace else None)
+    return RunResult(False, budget, c)
 
 
 def format_tm_spec(spec: TMSpec) -> str:
@@ -168,18 +166,14 @@ def parse_tm_spec(text: str) -> TMSpec:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "states":
+        if parts[0] == "states" and len(parts) == 2:
             states = int(parts[1])
-        elif parts[0] == "colors":
+        elif parts[0] == "colors" and len(parts) == 2:
             colors = int(parts[1])
-        elif parts[0] == "rule":
-            i, j = int(parts[1]), int(parts[2])
-            if parts[3] != "->":
-                raise ValueError(f"bad rule line: {raw!r}")
-            if parts[4] == "STOP":
-                table[(i, j)] = STOP
-            else:
-                table[(i, j)] = Move(parts[4], int(parts[5]), int(parts[6]))
+        elif parts[0] == "rule" and parts[3:] == ["->", "STOP"]:
+            table[(int(parts[1]), int(parts[2]))] = STOP
+        elif parts[0] == "rule" and len(parts) == 7 and parts[3] == "->":
+            table[(int(parts[1]), int(parts[2]))] = Move(parts[4], int(parts[5]), int(parts[6]))
         else:
             raise ValueError(f"bad line: {raw!r}")
     if states is None or colors is None:

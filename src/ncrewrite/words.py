@@ -42,14 +42,6 @@ def letter_kind(letter: str) -> str:
     return {"a": "cell", "Q": "state", "P": "color"}[letter[0]]
 
 
-def letter_index(letter: str) -> int:
-    """Index of an indexed letter (a_k, Q_i, P_j)."""
-    kind = letter_kind(letter)
-    if kind not in ("cell", "state", "color"):
-        raise AlphabetError(f"letter {letter!r} carries no index")
-    return int(letter[1:])
-
-
 def phi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
     """Alphabet of the nilpotency system, in precedence order (greatest first)."""
     return (

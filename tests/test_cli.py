@@ -134,3 +134,56 @@ def test_rule_letter_outside_alphabet_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert "ambiguities" not in captured.out
     assert captured.err.startswith("error: ") and "'Q3'" in captured.err
+
+
+def assert_usage_error(rc, captured, *fragments):
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-order", "--order", "nilpotency", "--max-len", "-1"],
+    ["cancellation-probe", "--samples", "5", "--max-len", "0"],
+])
+def test_vacuous_bound_is_usage_error(argv, capsys):
+    rc = main(argv)
+    assert_usage_error(rc, capsys.readouterr(), "max_len")
+
+
+def test_negative_tm_run_budget_is_usage_error(config_file, capsys):
+    rc = main(["tm-run", "--config", config_file, "--budget", "-1"])
+    assert_usage_error(rc, capsys.readouterr(), "budget")
+
+
+def test_negative_normalize_budget_is_usage_error(nilp_file, capsys):
+    rc = main(["normalize", "--presentation", nilp_file, "--word", "t R a1 Q2 P3 a0 R",
+               "--budget", "-1"])
+    assert_usage_error(rc, capsys.readouterr(), "budget")
+
+
+def test_budget_exhausted_is_unknown(nilp_file, capsys):
+    rc = main(["normalize", "--presentation", nilp_file, "--word", "t R a1 Q2 P3 a0 R",
+               "--budget", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "budget exhausted after 1 steps" in captured.err
+
+
+@pytest.mark.parametrize("line", ["rule 0 0 ->", "states"])
+def test_short_tm_spec_line_is_usage_error(line, config_file, tmp_path, capsys):
+    tm = tmp_path / "short.tm"
+    tm.write_text(format_tm_spec(tiny_looping_machine()) + line + "\n")
+    rc = main(["tm-run", "--tm", str(tm), "--config", config_file, "--budget", "1"])
+    assert_usage_error(rc, capsys.readouterr(), "bad line", repr(line))
+
+
+def test_start_state_out_of_range_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(format_config(TMConfig((), 9, 0, ())))
+    rc = main(["lockstep", "--config", str(cfg), "--steps", "1", "--construction", "nilpotency"])
+    assert_usage_error(rc, capsys.readouterr(), "state or color out of range")

@@ -14,16 +14,34 @@ from ncrewrite import (
     zerodivisor_order,
 )
 from ncrewrite.encodings import nilpotency_presentation, zerodivisor_presentation
-from ncrewrite.groebner import INCLUSION, OVERLAP, OrderAuditReport, naive_ambiguity_scan
-from ncrewrite.orders import deglex_order
+from ncrewrite.groebner import INCLUSION, OVERLAP, Ambiguity, OrderAuditReport
+from ncrewrite.orders import DEGLEX, ReductionOrder
 
 
 def as_set(ambiguities):
     return {(a.kind, a.rule1, a.rule2, a.witness, a.offset1, a.offset2) for a in ambiguities}
 
 
+def naive_ambiguity_scan(p):
+    """Quadratic pairwise scan; test oracle for find_ambiguities."""
+    lhss = [r.lhs for r in p.rules]
+    out = []
+    for r1, lhs1 in enumerate(lhss):
+        for r2, lhs2 in enumerate(lhss):
+            for k in range(1, len(lhs1)):
+                suffix = lhs1[k:]
+                if len(suffix) < len(lhs2) and lhs2[:len(suffix)] == suffix:
+                    out.append(Ambiguity(OVERLAP, r1, r2, lhs1 + lhs2[len(suffix):], 0, k))
+            for i in range(len(lhs1) - len(lhs2) + 1):
+                if lhs1[i:i + len(lhs2)] == lhs2:
+                    if r1 == r2 and len(lhs1) == len(lhs2):
+                        continue
+                    out.append(Ambiguity(INCLUSION, r1, r2, lhs1, 0, i))
+    return out
+
+
 def synthetic(rules):
-    order = deglex_order(("a0", "a1", "a2", "a3"))
+    order = ReductionOrder(DEGLEX, ("a0", "a1", "a2", "a3"))
     letters = ("a0", "a1", "a2", "a3")
     return Presentation(letters, tuple(rules), order)
 
@@ -106,6 +124,10 @@ class TestAuditOrder:
         assert "minimality" in kinds
         assert "totality" in kinds
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="max_len"):
+            audit_order(nilpotency_order(), ("t", "a0", "R"), -1)
+
 
 def all_pairs_audit(order, alphabet, max_len):
     """All-pairs order audit; test oracle for audit_order."""
@@ -181,7 +203,7 @@ BAD_CASES = [
     pytest.param(KeyOrder(lambda w: (len(w), tuple(sorted(w)))), ("a0", "a1", "a2"), 3, id="sorted-ties"),
     pytest.param(KeyOrder(lambda w: (-len(w),)), ("a0", "a1"), 2, id="reversed-degree"),
     pytest.param(RandomRanks(7), ("a0", "a1", "a2"), 3, id="random-ranks"),
-    pytest.param(deglex_order(("a0", "a1")), ("a0", "a1", "a0"), 2, id="repeated-letter"),
+    pytest.param(ReductionOrder(DEGLEX, ("a0", "a1")), ("a0", "a1", "a0"), 2, id="repeated-letter"),
 ]
 
 

@@ -111,6 +111,17 @@ class TestDeciders:
         with pytest.raises(ValueError):
             nilpotent_bounded(minsky, TMConfig((), 0, 0, ()), 0)
 
+    def test_start_config_validated(self, minsky):
+        bad = TMConfig((), 9, 0, ())
+        for run in (
+            lambda: lockstep(minsky, bad, 1, NILPOTENCY),
+            lambda: annihilate_bounded(minsky, bad, 1),
+            lambda: nilpotent_bounded(minsky, bad, 1),
+            lambda: zerodivisor_witness_bounded(minsky, bad, 1),
+        ):
+            with pytest.raises(ValueError, match="state or color out of range"):
+                run()
+
 
 class TestCancellationProbe:
     def test_simple_word_no_violation(self, minsky, p_zd):
@@ -123,6 +134,10 @@ class TestCancellationProbe:
 
     def test_probe_small(self):
         assert cancellation_probe(50, 10, seed=42) == []
+
+    def test_max_len_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_len"):
+            cancellation_probe(5, 0)
 
     def test_deterministic_under_seed(self):
         assert cancellation_probe(20, 8, seed=7) == cancellation_probe(20, 8, seed=7)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from ncrewrite import (
     AlphabetError,
-    compare_nilp,
-    compare_zd,
     height,
     nilpotency_order,
     parse_word,
@@ -63,6 +61,10 @@ class TestWeightedDegree:
 
     def test_mixed(self):
         assert weighted_degree(parse_word("t a0 Q1 P2")) == 5
+
+
+compare_nilp = nilpotency_order().compare
+compare_zd = zerodivisor_order().compare
 
 
 class TestCompareNilp:

@@ -84,9 +84,19 @@ class TestTmRun:
         assert not result.halted and result.steps == 3
 
     def test_trace(self, minsky):
-        result = tm_run(minsky, TMConfig((3,), 2, 3, ()), 10, keep_trace=True)
-        assert result.trace[0] == TMConfig((3,), 2, 3, ())
-        assert len(result.trace) == 2
+        # the run tm_run summarizes, step by step with tm_step
+        c0 = TMConfig((3,), 2, 3, ())
+        trace = [c0]
+        while (nxt := tm_step(minsky, trace[-1])) is not None:
+            trace.append(nxt)
+        assert len(trace) == 2
+        result = tm_run(minsky, c0, 10)
+        assert result.halted and result.steps == len(trace) - 1
+        assert result.config == trace[-1]
+
+    def test_negative_budget_rejected(self, minsky):
+        with pytest.raises(ValueError, match="budget"):
+            tm_run(minsky, TMConfig((), 0, 0, ()), -1)
 
 
 class TestValidation:
@@ -121,3 +131,9 @@ class TestTextFormats:
             parse_tm_spec("states 1\nrule 0 0 -> STOP\n")
         with pytest.raises(ValueError):
             parse_tm_spec("states 1\ncolors 1\nbogus\n")
+
+    @pytest.mark.parametrize("line", ["rule 0 0 ->", "states", "colors 1 2", "rule 0 0 -> L 0",
+                                      "rule 0 0 -> STOP 1", "rule 0 0 => STOP"])
+    def test_short_or_malformed_line(self, line):
+        with pytest.raises(ValueError, match="bad line"):
+            parse_tm_spec(f"states 1\ncolors 1\n{line}\n")

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncrewrite import AlphabetError, parse_word, phi_alphabet, psi_alphabet, word_to_str
-from ncrewrite.words import check_alphabet, letter_index, letter_kind
+from ncrewrite.words import check_alphabet, letter_kind
 
 
 def test_parse_roundtrip():
@@ -24,14 +24,13 @@ def test_parse_rejects_junk(bad):
         parse_word(bad)
 
 
-def test_letter_kind_and_index():
+def test_letter_kind():
     assert letter_kind("a2") == "cell"
     assert letter_kind("Q6") == "state"
     assert letter_kind("P0") == "color"
     assert letter_kind("t") == "t"
-    assert letter_index("Q6") == 6
     with pytest.raises(AlphabetError):
-        letter_index("R")
+        letter_kind("Q")
 
 
 def test_alphabets():
