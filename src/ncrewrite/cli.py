@@ -66,6 +66,8 @@ def cmd_overlaps(args) -> int:
 
 
 def cmd_verify_order(args) -> int:
+    if args.max_len < 1:  # an audit of no words would print an empty certificate
+        raise ValueError("max_len must be >= 1")
     if args.order == NILPOTENCY:
         order = nilpotency_order()
     else:

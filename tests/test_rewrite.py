@@ -16,10 +16,11 @@ from ncrewrite import (
     format_polynomial,
     normalize,
     parse_polynomial,
+    parse_presentation,
     parse_word,
 )
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from oracles import RightmostOracle, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, one_step_rewrites
 
 
 def naive_scan(patterns, word):
@@ -49,6 +50,7 @@ class TestPolynomial:
     def test_format_parse_roundtrip(self):
         x = Polynomial.from_word(("t", "R"), Fraction(1, 2)) + Polynomial.from_word(("a0",), -3)
         assert parse_polynomial(format_polynomial(x)) == x
+        assert format_polynomial(parse_polynomial(format_polynomial(x))) is format_polynomial(x)
         assert parse_polynomial("0").is_zero()
         assert format_polynomial(Polynomial.zero()) == "0"
 
@@ -144,6 +146,51 @@ class TestNormalize:
                 w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 25)))
                 left, _ = normalize(Polynomial.from_word(w), p)
                 assert left == oracle.normal_form(w)
+
+
+class TestRedexChoice:
+    """normalize rewrites the leftmost redex, lowest rule id first: same steps as the oracle.
+
+    Criterion 4 compares the two on both Minsky presentations.
+    """
+
+    def test_lhs_factor_of_another(self):
+        # the redex Q0 ends first, but a0 Q0 P0 starts further left
+        p = parse_presentation(
+            "alphabet: t a0 Q0 P0 P1 R\norder: deglex\n"
+            "rule: a0 Q0 P0 -> R\nrule: Q0 -> P1\n"
+        )
+        w = parse_word("a0 Q0 P0")
+        assert normalize(Polynomial.from_word(w), p) == (Polynomial.from_word(("R",)), 1)
+        assert LeftmostOracle(p.rules).normalize(w) == (Polynomial.from_word(("R",)), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shrinking_rules(self, data):
+        # any rule set whose rhs are shorter than their lhs terminates; lhs may
+        # overlap, repeat or be factors of each other
+        alphabet = ("a0", "a1", "a2")
+        word = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4).map(tuple)
+        lhss = data.draw(st.lists(word, min_size=1, max_size=6))
+        rules = []
+        for lhs in lhss:
+            rhs = data.draw(st.one_of(
+                st.none(), st.lists(st.sampled_from(alphabet), max_size=len(lhs) - 1).map(tuple)))
+            rules.append(Rule(lhs, rhs))
+        p = Presentation(alphabet, tuple(rules), ReductionOrder(DEGLEX, alphabet))
+        w = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=30)))
+        oracle = LeftmostOracle(rules)
+        nf, steps = normalize(Polynomial.from_word(w), p)
+        assert (nf, steps) == oracle.normalize(w)
+        if steps:
+            k = data.draw(st.integers(0, steps - 1))
+            with pytest.raises(BudgetExhausted) as exc:
+                normalize(Polynomial.from_word(w), p, budget=k)
+            partial = exc.value.partial
+            assert exc.value.steps == k
+            assert (partial, k) == oracle.normalize(w, max_steps=k)
+            (pw,) = partial.terms
+            assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], pw))
 
 
 class TestEqualInAlgebra:

@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncrewrite import AlphabetError, parse_word, phi_alphabet, psi_alphabet, word_to_str
+from ncrewrite import (
+    AlphabetError,
+    TMConfig,
+    encode_config,
+    make_presentation,
+    parse_word,
+    phi_alphabet,
+    psi_alphabet,
+    word_to_str,
+)
 from ncrewrite.words import check_alphabet, letter_kind
 
 
@@ -43,6 +52,20 @@ def test_alphabets():
     assert psi[:2] == ("t", "s") and psi[-2:] == ("L", "R")
     # no duplicates
     assert len(set(psi)) == len(psi)
+
+
+def test_letters_are_shared(minsky):
+    # one string object per letter keeps the words a run retains small
+    for construction, alphabet in (("nilpotency", phi_alphabet()), ("zerodivisor", psi_alphabet())):
+        shared = {id(x) for x in alphabet}
+        words = [
+            encode_config(TMConfig((0, 1, 2, 3), 6, 3, (3, 2, 1, 0)), construction),
+            parse_word(" ".join(alphabet)),
+        ]
+        for rule in make_presentation(minsky, construction).rules:
+            words += [rule.lhs, rule.rhs or ()]
+        for w in words:
+            assert {id(x) for x in w} <= shared, w
 
 
 def test_check_alphabet():
