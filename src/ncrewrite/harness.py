@@ -186,6 +186,7 @@ def cancellation_probe(
     max_len: int,
     seed: int = 0,
     spec: TMSpec | None = None,
+    presentation: Presentation | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[Word, str, int]]:
     """Probe right-t / left-s cancellation in the zero-divisor algebra.
@@ -193,7 +194,8 @@ def cancellation_probe(
     Samples words X with nonzero normal form (half structured
     configuration words with extra t/s letters, half fully random) and
     checks that X t^n and s^n X stay nonzero for n in 1..3.  Returns the
-    violations found (expected empty).
+    violations found (expected empty).  ``presentation`` defaults to the
+    zero-divisor presentation of ``spec``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -201,7 +203,7 @@ def cancellation_probe(
         raise ValueError("max_len must be >= 1")
     rng = random.Random(seed)
     spec = spec if spec is not None else minsky_utm()
-    p = zerodivisor_presentation(spec)
+    p = presentation if presentation is not None else zerodivisor_presentation(spec)
     violations: list[tuple[Word, str, int]] = []
     produced = 0
     while produced < samples:

@@ -1,9 +1,12 @@
 """Rule application and normal forms in the free algebra.
 
 All rules here are monic monomial -> monomial (or zero), so rewriting a
-word either yields another word or kills the term.  Polynomials (formal
-rational combinations of words) exist for subtraction-based equality
-tests and for the products the bounded deciders build.
+word either yields another word or kills the term: normalization works on
+words.  ``Polynomial`` (a formal rational combination of words) is a thin
+wrapper around a dict from word to coefficient, kept for subtraction-based
+equality tests, polynomial text and the products the bounded deciders
+build; ``normalize`` runs the word normalizer on each of its terms and
+adds up the coefficients of equal normal forms.
 
 Normalization reads a word once through an Aho-Corasick automaton over all
 rule left-hand sides.  The reduced prefix is kept as a stack of letters and
@@ -20,7 +23,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .orders import ReductionOrder
 from .words import Word, check_alphabet, parse_word, word_to_str
@@ -41,6 +44,9 @@ class Rule:
             raise ValueError("rule lhs must be nonempty")
 
 
+_ONE = Fraction(1)
+
+
 class Polynomial:
     """Formal linear combination of words with exact rational coefficients."""
 
@@ -55,12 +61,22 @@ class Polynomial:
                     self._terms[tuple(w)] = c
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
+    def _of(cls, terms: dict[Word, Fraction]) -> "Polynomial":
+        """Wrap terms without copying or checking them: tuple keys, nonzero
+        Fraction values, and no other owner of the dict."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
-    def from_word(cls, w: Word, coeff: Fraction | int = 1) -> "Polynomial":
-        return cls({tuple(w): Fraction(coeff)})
+    def zero(cls) -> "Polynomial":
+        return cls._of({})
+
+    @classmethod
+    def from_word(cls, w: Word, coeff: Fraction | int = _ONE) -> "Polynomial":
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        return cls._of({tuple(w): coeff} if coeff else {})
 
     @property
     def terms(self) -> dict[Word, Fraction]:
@@ -84,14 +100,10 @@ class Polynomial:
                 out[w] = s
             else:
                 out.pop(w, None)
-        result = Polynomial()
-        result._terms = out
-        return result
+        return Polynomial._of(out)
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial()
-        result._terms = {w: -c for w, c in self._terms.items()}
-        return result
+        return Polynomial._of({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -111,9 +123,7 @@ def concat(x: Polynomial, y: Polynomial) -> Polynomial:
                 out[w] = s
             else:
                 out.pop(w, None)
-    result = Polynomial()
-    result._terms = out
-    return result
+    return Polynomial._of(out)
 
 
 def format_polynomial(x: Polynomial) -> str:
@@ -181,20 +191,19 @@ class Matcher:
         self._depth = depth
         self.lengths = [len(p) for p in self.patterns]
 
-    def finditer(self, word: Word) -> Iterator[tuple[int, int]]:
-        """Yield (position, pattern id) pairs, in order of match end."""
+    def redexes(self, word: Word) -> list[tuple[int, int]]:
+        """All (position, pattern id) occurrences, sorted by position then id."""
         goto, fail, out, lengths = self._goto, self._fail, self._out, self.lengths
+        found = []
         s = 0
         for i, x in enumerate(word):
             while s and x not in goto[s]:
                 s = fail[s]
             s = goto[s].get(x, 0)
             for pid in out[s]:
-                yield (i - lengths[pid] + 1, pid)
-
-    def redexes(self, word: Word) -> list[tuple[int, int]]:
-        """All (position, pattern id) occurrences, sorted by position then id."""
-        return sorted(self.finditer(word))
+                found.append((i - lengths[pid] + 1, pid))
+        found.sort()  # found in order of match end
+        return found
 
 
 @dataclass(eq=False)
@@ -210,6 +219,11 @@ class Presentation:
     @functools.cached_property
     def matcher(self) -> Matcher:
         return Matcher([r.lhs for r in self.rules])
+
+    @functools.cached_property
+    def letters(self) -> frozenset[str]:
+        """The alphabet as a set, for membership tests."""
+        return frozenset(self.alphabet)
 
 
 class BudgetExhausted(RuntimeError):
@@ -301,17 +315,24 @@ def normalize(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     total = 0
-    result = Polynomial.zero()
-    for w, c in x.terms.items():
-        check_alphabet(w, p.alphabet)
+    out: dict[Word, Fraction] = {}
+    for w, c in x._terms.items():
+        check_alphabet(w, p.letters)
         try:
             nf, steps = _normalize_word(w, p, budget - total)
         except BudgetExhausted as exc:
             raise BudgetExhausted(exc.partial, total + exc.steps, exc.remaining_redexes)
         total += steps
-        if nf is not None:
-            result = result + Polynomial.from_word(nf, c)
-    return result, total
+        if nf is None:
+            continue
+        prev = out.get(nf)
+        if prev is not None:
+            c += prev
+        if c:
+            out[nf] = c
+        else:
+            del out[nf]
+    return Polynomial._of(out), total
 
 
 def equal_in_algebra(x: Polynomial, y: Polynomial, p: Presentation) -> bool:

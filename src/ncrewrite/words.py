@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 Word = tuple[str, ...]
 
@@ -100,9 +100,14 @@ def word_to_str(w: Word) -> str:
     return " ".join(w) if w else "eps"
 
 
-def check_alphabet(w: Iterable[str], alphabet: Iterable[str]) -> None:
-    """Raise AlphabetError if any letter of w is not in alphabet."""
-    allowed = set(alphabet)
+def check_alphabet(w: Sequence[str], alphabet: Iterable[str]) -> None:
+    """Raise AlphabetError if any letter of w is not in alphabet.
+
+    A set or frozenset alphabet is used as it is; any other is copied into one.
+    """
+    allowed = alphabet if isinstance(alphabet, (set, frozenset)) else set(alphabet)
+    if allowed.issuperset(w):
+        return
     for letter in w:
         if letter not in allowed:
             raise AlphabetError(f"letter {letter!r} outside alphabet")

@@ -173,8 +173,8 @@ def test_criterion_9_invariants(p_nilp, p_zd):
     report(9, "deg_t / h-tilde conserved over 10k rule applications each")
 
 
-def test_criterion_10_cancellation():
-    assert cancellation_probe(1000, 12, seed=3) == []
+def test_criterion_10_cancellation(p_zd):
+    assert cancellation_probe(1000, 12, seed=3, presentation=p_zd) == []
     report(10, "1000-sample cancellation probe clean")
 
 

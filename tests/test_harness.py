@@ -7,6 +7,8 @@ from ncrewrite import (
     ZERO_DIVISOR,
     AlphabetError,
     Polynomial,
+    Presentation,
+    Rule,
     TMConfig,
     annihilate_bounded,
     cancellation_probe,
@@ -132,15 +134,26 @@ class TestCancellationProbe:
             nf, _ = normalize(Polynomial.from_word(("s",) * n + x), p_zd)
             assert not nf.is_zero()
 
-    def test_probe_small(self):
-        assert cancellation_probe(50, 10, seed=42) == []
+    def test_probe_small(self, p_zd):
+        assert cancellation_probe(50, 10, seed=42, presentation=p_zd) == []
 
     def test_max_len_must_be_positive(self):
         with pytest.raises(ValueError, match="max_len"):
             cancellation_probe(5, 0)
 
-    def test_deterministic_under_seed(self):
-        assert cancellation_probe(20, 8, seed=7) == cancellation_probe(20, 8, seed=7)
+    def test_deterministic_under_seed(self, p_zd):
+        assert cancellation_probe(20, 8, seed=7, presentation=p_zd) == \
+            cancellation_probe(20, 8, seed=7, presentation=p_zd)
+
+    def test_reports_violations(self, p_zd):
+        # with R t -> 0 added, a word ending in R loses its right t
+        q = Presentation(p_zd.alphabet, p_zd.rules + (Rule(("R", "t"), None),), p_zd.order, p_zd.construction)
+        violations = cancellation_probe(50, 10, seed=42, presentation=q)
+        assert any(kind == "right-t" for _, kind, _ in violations)
+        for x, kind, n in violations:
+            assert not normalize(Polynomial.from_word(x), q)[0].is_zero()
+            w = x + ("t",) * n if kind == "right-t" else ("s",) * n + x
+            assert normalize(Polynomial.from_word(w), q)[0].is_zero()
 
 
 class TestConservation:

@@ -1,8 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncrewrite import (
@@ -11,7 +12,9 @@ from ncrewrite import (
     Polynomial,
     Presentation,
     Rule,
+    TMConfig,
     concat,
+    encode_config,
     equal_in_algebra,
     format_polynomial,
     normalize,
@@ -53,6 +56,32 @@ class TestPolynomial:
         assert format_polynomial(parse_polynomial(format_polynomial(x))) is format_polynomial(x)
         assert parse_polynomial("0").is_zero()
         assert format_polynomial(Polynomial.zero()) == "0"
+
+    def test_from_word_zero_coefficient(self):
+        assert Polynomial.from_word(("t", "R"), 0).is_zero()
+        assert Polynomial.from_word(("t", "R"), Fraction(0)) == Polynomial.zero()
+
+    def test_from_word_keys_by_tuple(self):
+        (w,) = Polynomial.from_word(["t", "R"]).terms
+        assert type(w) is tuple and w == ("t", "R")
+
+    def test_from_word_equals_constructor(self):
+        w = ("t", "a0", "R")
+        assert Polynomial.from_word(w) == Polynomial({w: 1})
+        assert Polynomial.from_word(w, -2) == Polynomial({w: Fraction(-2)})
+        assert Polynomial.from_word(list(w), Fraction(1, 3)) == Polynomial({w: Fraction(1, 3)})
+        assert Polynomial.from_word(w).terms == {w: Fraction(1)}
+
+    def test_normal_form_is_fresh(self, p_nilp):
+        w = parse_word("R a0 a1 R")  # already normal
+        x = Polynomial.from_word(w)
+        nf, steps = normalize(x, p_nilp)
+        assert (nf, steps) == (x, 0) and nf is not x
+        terms = nf.terms
+        terms[("t",)] = Fraction(5)
+        del terms[w]
+        x.terms.clear()
+        assert nf == Polynomial.from_word(w) and x == Polynomial.from_word(w)
 
 
 class TestMatcher:
@@ -191,6 +220,95 @@ class TestRedexChoice:
             assert (partial, k) == oracle.normalize(w, max_steps=k)
             (pw,) = partial.terms
             assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], pw))
+
+
+COEFFS = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 6))
+TAPE = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+CONFIGS = st.builds(TMConfig, TAPE, st.integers(0, 6), st.integers(0, 3), TAPE)  # Minsky: 7 states, 4 colors
+
+
+@functools.cache
+def uniform_words(alphabet):
+    return st.lists(st.sampled_from(alphabet), max_size=12).map(tuple)
+
+
+@functools.cache
+def leftmost(p):
+    return LeftmostOracle(p.rules)
+
+
+def draw_word(data, p, min_t=0):
+    """A uniform word over p's alphabet, or t^k times a configuration word."""
+    if min_t == 0 and data.draw(st.booleans()):
+        return data.draw(uniform_words(p.alphabet))
+    return ("t",) * data.draw(st.integers(min_t, 2)) + encode_config(data.draw(CONFIGS), p.construction)
+
+
+class TestPolynomialNormalize:
+    """normalize of a sum of terms equals the sum of each term's normal form.
+
+    The reference normalizes each term with LeftmostOracle and adds the
+    results with Polynomial.__add__, so coefficients of terms that meet in
+    one normal form, and their cancellation, go through an independent path.
+    """
+
+    def reference(self, terms, p):
+        oracle = leftmost(p)
+        total, steps = Polynomial.zero(), 0
+        for w, c in terms.items():
+            nf, n = oracle.normalize(w)
+            steps += n
+            for v, d in nf.terms.items():
+                total = total + Polynomial.from_word(v, c * d)
+        return total, steps
+
+    def test_cancelling_pair(self, p_nilp):
+        w = parse_word("t R a1 Q2 P3 a0 R")
+        w2 = parse_word("R t a1 Q2 P3 a0 R")  # its one-step rewrite
+        x = Polynomial({w: Fraction(2, 3), w2: Fraction(-2, 3)})
+        assert normalize(x, p_nilp) == (Polynomial.zero(), 4 + 3)
+        assert self.reference(x.terms, p_nilp) == (Polynomial.zero(), 7)
+        y = Polynomial({w: 1, w2: 2})
+        assert normalize(y, p_nilp) == (Polynomial.from_word(parse_word("R Q4 P1 a1 a0 R t"), 3), 7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_termwise_oracle(self, p_nilp, p_zd, data):
+        p = data.draw(st.sampled_from((p_nilp, p_zd)))
+        oracle = leftmost(p)
+        size = data.draw(st.integers(1, 5))
+        terms = {}
+        for _ in range(size):
+            if len(terms) == size:
+                break
+            w = draw_word(data, p)
+            c = data.draw(COEFFS)
+            terms[w] = c
+            _, steps = oracle.normalize(w)
+            if len(terms) < size and steps and data.draw(st.booleans()):
+                # a word on w's derivation has w's normal form; its coefficient
+                # cancels c there or not
+                reached, _ = oracle.normalize(w, max_steps=data.draw(st.integers(1, steps)))
+                for w2 in reached.terms:  # none if the derivation reached zero
+                    terms[w2] = -c if data.draw(st.booleans()) else data.draw(COEFFS)
+        assert normalize(Polynomial(terms), p) == self.reference(terms, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_budget_spans_terms(self, p_nilp, p_zd, data):
+        p = data.draw(st.sampled_from((p_nilp, p_zd)))
+        oracle = leftmost(p)
+        w1 = draw_word(data, p)
+        w2 = draw_word(data, p, min_t=1)
+        assume(w1 != w2)
+        _, s1 = oracle.normalize(w1)
+        _, s2 = oracle.normalize(w2)
+        k = data.draw(st.integers(0, s2 - 1))
+        x = Polynomial({w1: data.draw(COEFFS), w2: data.draw(COEFFS)})
+        with pytest.raises(BudgetExhausted) as exc:
+            normalize(x, p, budget=s1 + k)
+        assert exc.value.steps == s1 + k
+        assert exc.value.partial == oracle.normalize(w2, max_steps=k)[0]
 
 
 class TestEqualInAlgebra:

@@ -69,9 +69,12 @@ def test_letters_are_shared(minsky):
 
 
 def test_check_alphabet():
-    check_alphabet(("t", "a0"), phi_alphabet())
-    with pytest.raises(AlphabetError):
-        check_alphabet(("t", "s"), phi_alphabet())
+    # a tuple alphabet is copied into a set, a frozenset is used as it is
+    for alphabet in (phi_alphabet(), frozenset(phi_alphabet())):
+        check_alphabet(("t", "a0"), alphabet)
+        check_alphabet((), alphabet)
+        with pytest.raises(AlphabetError, match="^letter 's' outside alphabet$"):
+            check_alphabet(("t", "s", "L"), alphabet)
 
 
 @given(st.lists(st.sampled_from(psi_alphabet()), max_size=12))
