@@ -27,7 +27,7 @@ from .harness import (
     zerodivisor_witness_bounded,
 )
 from .orders import NILPOTENCY, ZERO_DIVISOR, nilpotency_order, zerodivisor_order
-from .rewrite import BudgetExhausted, Polynomial, format_polynomial, normalize
+from .rewrite import DEFAULT_BUDGET, BudgetExhausted, Polynomial, format_polynomial, normalize
 from .turing import format_config, minsky_utm, parse_config, parse_tm_spec, tm_run
 from .words import parse_word, word_to_str
 
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("normalize", cmd_normalize, help="normalize a word under a presentation")
     sp.add_argument("--presentation", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = add("overlaps", cmd_overlaps, help="list ambiguities among rule lhs words")
     sp.add_argument("--presentation", required=True)

@@ -5,177 +5,100 @@ machine step as multiplication by t on the left (the t re-emerges on the
 right).  The zero-divisor system uses L U Q_i P_j V R and turns each
 consumed t into an s that drifts out to the right past R.
 
-Rule schemata are instantiated in a fixed order (schema, then machine
-pair, then free color indices ascending), so rule ids are stable.
+Each system is a table of rule schemata, one row per schema of the paper:
+its tag, the machine pairs it ranges over (none, the left-moving pairs,
+the right-moving pairs or the halt pairs), its free color variables and a
+function that builds one instance.  ``_instantiate`` is the only code that
+reads the tables.  It fixes the order of the rules (schema, then machine
+pair ascending, then free colors ascending with the last fastest), so rule
+ids are stable, and the tags (``tt4[i=0,j=2,l=1,k=0,n=3]``).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional
 
-from .orders import NILPOTENCY, ZERO_DIVISOR, nilpotency_order, zerodivisor_order
+from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import TMConfig, TMSpec
 from .words import AlphabetError, Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
 
+a, Q, P = cell, state_mark, color_mark
 
-def nilpotency_presentation(spec: TMSpec) -> Presentation:
-    colors = range(spec.colors)
-    a, Q, P = cell, state_mark, color_mark
+# Rows (tag, pairs, free color names, instance).  ``instance`` gets the pair's
+# values, then one color per free variable: (i, j, q, p, ...) for a move
+# from state i on color j to state q writing color p, (i, j, ...) for a
+# halt pair, the colors alone for a schema without a pair.  It returns
+# (lhs, rhs), with rhs None for a rule to zero.
+_NILPOTENCY_SCHEMATA = (
+    ("tt1", "none", "l", lambda l: (("t", "R", a(l)), ("R", "t", a(l)))),
+    ("tt1b", "none", "l", lambda l: (("t", a(l), "R"), (a(l), "R", "t"))),
+    ("tt2", "none", "kj", lambda k, j: (("t", a(k), a(j)), (a(k), "t", a(j)))),
+    ("tt3", "left", "k", lambda i, j, q, p, k: (("t", a(k), Q(i), P(j)), (Q(q), P(k), "t", a(p)))),
+    ("tt5", "left", "", lambda i, j, q, p: (("t", "R", Q(i), P(j)), ("R", Q(q), P(0), "t", a(p)))),
+    ("tt4", "right", "lkn", lambda i, j, q, p, l, k, n: (
+        ("t", a(l), Q(i), P(j), a(k), a(n)), (a(l), a(p), Q(q), P(k), "t", a(n)))),
+    ("tt4r", "right", "lk", lambda i, j, q, p, l, k: (
+        ("t", a(l), Q(i), P(j), a(k), "R"), (a(l), a(p), Q(q), P(k), "R", "t"))),
+    ("tt4b", "right", "kn", lambda i, j, q, p, k, n: (
+        ("t", "R", Q(i), P(j), a(k), a(n)), ("R", a(p), Q(q), P(k), "t", a(n)))),
+    ("tt4ar", "right", "k", lambda i, j, q, p, k: (
+        ("t", "R", Q(i), P(j), a(k), "R"), ("R", a(p), Q(q), P(k), "R", "t"))),
+    ("tt6", "right", "l", lambda i, j, q, p, l: (
+        ("t", a(l), Q(i), P(j), "R"), (a(l), a(p), Q(q), P(0), "R", "t"))),
+    ("tt6b", "right", "", lambda i, j, q, p: (("t", "R", Q(i), P(j), "R"), ("R", a(p), Q(q), P(0), "R", "t"))),
+    ("tt7", "stop", "", lambda i, j: ((Q(i), P(j)), None)),
+)
+
+_ZERO_DIVISOR_SCHEMATA = (
+    ("td1", "none", "k", lambda k: (("t", "L", a(k)), ("L", "t", a(k)))),
+    ("td2", "none", "kl", lambda k, l: (("t", a(k), a(l)), (a(k), "t", a(l)))),
+    ("td9", "none", "", lambda: (("s", "R"), ("R", "s"))),
+    ("td8", "none", "k", lambda k: (("s", a(k)), (a(k), "s"))),
+    ("td3", "left", "k", lambda i, j, q, p, k: (("t", a(k), Q(i), P(j)), (Q(q), P(k), a(p), "s"))),
+    ("td5", "left", "", lambda i, j, q, p: (("t", "L", Q(i), P(j)), ("L", Q(q), P(0), a(p), "s"))),
+    ("td4", "right", "lk", lambda i, j, q, p, l, k: (
+        ("t", a(l), Q(i), P(j), a(k)), (a(l), a(p), Q(q), P(k), "s"))),
+    ("td4b", "right", "k", lambda i, j, q, p, k: (("t", "L", Q(i), P(j), a(k)), ("L", a(p), Q(q), P(k), "s"))),
+    ("td6", "right", "l", lambda i, j, q, p, l: (
+        ("t", a(l), Q(i), P(j), "R"), (a(l), a(p), Q(q), P(0), "R", "s"))),
+    ("td6b", "right", "", lambda i, j, q, p: (("t", "L", Q(i), P(j), "R"), ("L", a(p), Q(q), P(0), "R", "s"))),
+    ("td7", "stop", "", lambda i, j: ((Q(i), P(j)), None)),
+)
+
+
+def _instantiate(spec: TMSpec, schemata) -> tuple[Rule, ...]:
+    moves = {kind: [(i, j, spec.table[i, j].state, spec.table[i, j].color) for i, j in keys]
+             for kind, keys in (("left", spec.left_pairs()), ("right", spec.right_pairs()))}
+    pairs = {"none": [()], "stop": spec.stop_pairs(), **moves}
     rules: list[Rule] = []
     add = rules.append
+    for tag, kind, free, instance in schemata:
+        labels = [(colors, ",".join(f"{v}={k}" for v, k in zip(free, colors)))
+                  for colors in product(range(spec.colors), repeat=len(free))]
+        for pair in pairs[kind]:
+            # tag[i=..,j=..,<colors>]; a schema with neither keeps its bare tag
+            head = f"{tag}[i={pair[0]},j={pair[1]}" if pair else f"{tag}["
+            sep = "," if pair and free else ""
+            for colors, label in labels:
+                add(Rule(*instance(*pair, *colors), f"{head}{sep}{label}]" if pair or free else tag))
+    return tuple(rules)
 
-    for l in colors:
-        add(Rule(("t", "R", a(l)), ("R", "t", a(l)), f"tt1[l={l}]"))
-    for l in colors:
-        add(Rule(("t", a(l), "R"), (a(l), "R", "t"), f"tt1b[l={l}]"))
-    for k in colors:
-        for j in colors:
-            add(Rule(("t", a(k), a(j)), (a(k), "t", a(j)), f"tt2[k={k},j={j}]"))
-    for (i, j) in spec.left_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for k in colors:
-            add(Rule(
-                ("t", a(k), Q(i), P(j)),
-                (Q(q), P(k), "t", a(p)),
-                f"tt3[i={i},j={j},k={k}]",
-            ))
-    for (i, j) in spec.left_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        add(Rule(
-            ("t", "R", Q(i), P(j)),
-            ("R", Q(q), P(0), "t", a(p)),
-            f"tt5[i={i},j={j}]",
-        ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for l in colors:
-            for k in colors:
-                for n in colors:
-                    add(Rule(
-                        ("t", a(l), Q(i), P(j), a(k), a(n)),
-                        (a(l), a(p), Q(q), P(k), "t", a(n)),
-                        f"tt4[i={i},j={j},l={l},k={k},n={n}]",
-                    ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for l in colors:
-            for k in colors:
-                add(Rule(
-                    ("t", a(l), Q(i), P(j), a(k), "R"),
-                    (a(l), a(p), Q(q), P(k), "R", "t"),
-                    f"tt4r[i={i},j={j},l={l},k={k}]",
-                ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for k in colors:
-            for n in colors:
-                add(Rule(
-                    ("t", "R", Q(i), P(j), a(k), a(n)),
-                    ("R", a(p), Q(q), P(k), "t", a(n)),
-                    f"tt4b[i={i},j={j},k={k},n={n}]",
-                ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for k in colors:
-            add(Rule(
-                ("t", "R", Q(i), P(j), a(k), "R"),
-                ("R", a(p), Q(q), P(k), "R", "t"),
-                f"tt4ar[i={i},j={j},k={k}]",
-            ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for l in colors:
-            add(Rule(
-                ("t", a(l), Q(i), P(j), "R"),
-                (a(l), a(p), Q(q), P(0), "R", "t"),
-                f"tt6[i={i},j={j},l={l}]",
-            ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        add(Rule(
-            ("t", "R", Q(i), P(j), "R"),
-            ("R", a(p), Q(q), P(0), "R", "t"),
-            f"tt6b[i={i},j={j}]",
-        ))
-    for (i, j) in spec.stop_pairs():
-        add(Rule((Q(i), P(j)), None, f"tt7[i={i},j={j}]"))
 
+def nilpotency_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
         alphabet=phi_alphabet(spec.states, spec.colors),
-        rules=tuple(rules),
+        rules=_instantiate(spec, _NILPOTENCY_SCHEMATA),
         order=nilpotency_order(spec.states, spec.colors),
         construction=NILPOTENCY,
     )
 
 
 def zerodivisor_presentation(spec: TMSpec) -> Presentation:
-    colors = range(spec.colors)
-    a, Q, P = cell, state_mark, color_mark
-    rules: list[Rule] = []
-    add = rules.append
-
-    for k in colors:
-        add(Rule(("t", "L", a(k)), ("L", "t", a(k)), f"td1[k={k}]"))
-    for k in colors:
-        for l in colors:
-            add(Rule(("t", a(k), a(l)), (a(k), "t", a(l)), f"td2[k={k},l={l}]"))
-    add(Rule(("s", "R"), ("R", "s"), "td9"))
-    for k in colors:
-        add(Rule(("s", a(k)), (a(k), "s"), f"td8[k={k}]"))
-    for (i, j) in spec.left_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for k in colors:
-            add(Rule(
-                ("t", a(k), Q(i), P(j)),
-                (Q(q), P(k), a(p), "s"),
-                f"td3[i={i},j={j},k={k}]",
-            ))
-    for (i, j) in spec.left_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        add(Rule(
-            ("t", "L", Q(i), P(j)),
-            ("L", Q(q), P(0), a(p), "s"),
-            f"td5[i={i},j={j}]",
-        ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for l in colors:
-            for k in colors:
-                add(Rule(
-                    ("t", a(l), Q(i), P(j), a(k)),
-                    (a(l), a(p), Q(q), P(k), "s"),
-                    f"td4[i={i},j={j},l={l},k={k}]",
-                ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for k in colors:
-            add(Rule(
-                ("t", "L", Q(i), P(j), a(k)),
-                ("L", a(p), Q(q), P(k), "s"),
-                f"td4b[i={i},j={j},k={k}]",
-            ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        for l in colors:
-            add(Rule(
-                ("t", a(l), Q(i), P(j), "R"),
-                (a(l), a(p), Q(q), P(0), "R", "s"),
-                f"td6[i={i},j={j},l={l}]",
-            ))
-    for (i, j) in spec.right_pairs():
-        q, p = spec.table[(i, j)].state, spec.table[(i, j)].color
-        add(Rule(
-            ("t", "L", Q(i), P(j), "R"),
-            ("L", a(p), Q(q), P(0), "R", "s"),
-            f"td6b[i={i},j={j}]",
-        ))
-    for (i, j) in spec.stop_pairs():
-        add(Rule((Q(i), P(j)), None, f"td7[i={i},j={j}]"))
-
     return Presentation(
         alphabet=psi_alphabet(spec.states, spec.colors),
-        rules=tuple(rules),
+        rules=_instantiate(spec, _ZERO_DIVISOR_SCHEMATA),
         order=zerodivisor_order(spec.states, spec.colors),
         construction=ZERO_DIVISOR,
     )
@@ -189,11 +112,18 @@ def make_presentation(spec: TMSpec, construction: str) -> Presentation:
     raise ValueError(f"unknown construction {construction!r}")
 
 
+def _left_edge(construction: str) -> str:
+    if construction == NILPOTENCY:
+        return "R"
+    if construction == ZERO_DIVISOR:
+        return "L"
+    raise ValueError(f"unknown construction {construction!r}")
+
+
 def encode_config(c: TMConfig, construction: str) -> Word:
     """Configuration word: edge marker, left tape, Q_i P_j, right tape, R."""
-    edge = "R" if construction == NILPOTENCY else "L"
     return (
-        edge,
+        _left_edge(construction),
         *(cell(k) for k in c.left),
         state_mark(c.state),
         color_mark(c.current),
@@ -208,8 +138,8 @@ def decode_structure(w: Word, construction: str) -> Optional[TMConfig]:
     Returns None when the t/s-free residue is not a well-formed
     configuration word.
     """
+    edge = _left_edge(construction)
     core = tuple(x for x in w if x not in ("t", "s"))
-    edge = "R" if construction == NILPOTENCY else "L"
     if len(core) < 4 or core[0] != edge or core[-1] != "R":
         return None
     body = core[1:-1]
@@ -244,8 +174,6 @@ def format_presentation(p: Presentation) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
-    from .orders import ReductionOrder
-
     alphabet: tuple[str, ...] = ()
     kind = ""
     rule_lines: list[str] = []

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .encodings import encode_config, make_presentation, nilpotency_presentation, zerodivisor_presentation
+from .encodings import encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
 from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
@@ -62,6 +62,16 @@ def htilde(w: Word) -> int:
     return w.count("t") + w.count("s")
 
 
+def _presentation(spec: TMSpec, construction: str, presentation: Presentation | None) -> Presentation:
+    """`presentation`, or the one compiled for `construction`; the other
+    construction's rules do not simulate the machine on these words."""
+    if presentation is None:
+        return make_presentation(spec, construction)
+    if presentation.construction in (NILPOTENCY, ZERO_DIVISOR) and presentation.construction != construction:
+        raise ValueError(f"{presentation.construction} presentation given for the {construction} construction")
+    return presentation
+
+
 def lockstep(
     spec: TMSpec,
     c0: TMConfig,
@@ -79,7 +89,7 @@ def lockstep(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     c0.validate(spec)
-    p = presentation if presentation is not None else make_presentation(spec, construction)
+    p = _presentation(spec, construction, presentation)
     tail = ("t",) if construction == NILPOTENCY else ("s",)
     records: list[StepRecord] = []
     divergence: Optional[int] = None
@@ -120,7 +130,7 @@ def annihilate_bounded(
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     c0.validate(spec)
-    p = presentation if presentation is not None else make_presentation(spec, construction)
+    p = _presentation(spec, construction, presentation)
     t = Polynomial.from_word(("t",))
     x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p, budget)
     for n in range(1, nmax + 1):
@@ -141,7 +151,7 @@ def nilpotent_bounded(
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     c0.validate(spec)
-    p = presentation if presentation is not None else nilpotency_presentation(spec)
+    p = _presentation(spec, NILPOTENCY, presentation)
     base = Polynomial.from_word(("t",) + encode_config(c0, NILPOTENCY))
     acc, _ = normalize(base, p, budget)
     for n in range(1, nmax + 1):
@@ -203,7 +213,7 @@ def cancellation_probe(
         raise ValueError("max_len must be >= 1")
     rng = random.Random(seed)
     spec = spec if spec is not None else minsky_utm()
-    p = presentation if presentation is not None else zerodivisor_presentation(spec)
+    p = _presentation(spec, ZERO_DIVISOR, presentation)
     violations: list[tuple[Word, str, int]] = []
     produced = 0
     while produced < samples:

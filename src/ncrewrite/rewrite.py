@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -214,7 +214,6 @@ class Presentation:
     rules: tuple[Rule, ...]
     order: ReductionOrder
     construction: str = "custom"
-    name: str = field(default="", compare=False)
 
     @functools.cached_property
     def matcher(self) -> Matcher:

@@ -29,6 +29,8 @@ class TMSpec:
     table: dict  # (state, color) -> Move or STOP
 
     def __post_init__(self):
+        if self.states < 1 or self.colors < 1:
+            raise ValueError(f"need at least one state and one color, got {self.states} and {self.colors}")
         for i in range(self.states):
             for j in range(self.colors):
                 if (i, j) not in self.table:

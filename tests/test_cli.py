@@ -183,6 +183,14 @@ def test_short_tm_spec_line_is_usage_error(line, config_file, tmp_path, capsys):
     assert_usage_error(rc, capsys.readouterr(), "bad line", repr(line))
 
 
+@pytest.mark.parametrize("header", ["states -1\ncolors 1\n", "states 0\ncolors 0\n"])
+def test_empty_machine_is_usage_error(header, tmp_path, capsys):
+    tm = tmp_path / "empty.tm"
+    tm.write_text(header)
+    rc = main(["gen-presentation", "--tm", str(tm), "--construction", "nilpotency"])
+    assert_usage_error(rc, capsys.readouterr(), "at least one state and one color")
+
+
 def test_start_state_out_of_range_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     cfg.write_text(format_config(TMConfig((), 9, 0, ())))

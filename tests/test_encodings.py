@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,21 +7,31 @@ from ncrewrite import (
     NILPOTENCY,
     ZERO_DIVISOR,
     AlphabetError,
+    Move,
     Polynomial,
     TMConfig,
+    TMSpec,
     decode_structure,
     encode_config,
     format_presentation,
+    make_presentation,
+    minsky_utm,
     nilpotency_presentation,
     normalize,
     parse_presentation,
     parse_word,
+    tiny_halting_machine,
+    tiny_looping_machine,
     tm_step,
     zerodivisor_presentation,
 )
 from ncrewrite.groebner import audit_orientation
 from ncrewrite.rewrite import _apply
 from ncrewrite.words import check_alphabet
+
+
+def left_only_machine():
+    return TMSpec(1, 1, {(0, 0): Move("L", 0, 0)})
 
 
 def rule_by_tag(p, tag):
@@ -67,9 +78,7 @@ class TestZeroDivisorPresentation:
         assert r.lhs == ("s", "R") and r.rhs == ("R", "s")
 
     def test_no_right_schemata_without_right_pairs(self):
-        from ncrewrite import Move, TMSpec
-        spec = TMSpec(1, 1, {(0, 0): Move("L", 0, 0)})
-        p = zerodivisor_presentation(spec)
+        p = zerodivisor_presentation(left_only_machine())
         assert not any(r.tag.startswith(("td4", "td6")) for r in p.rules)
 
     def test_closure_and_orientation(self, p_zd):
@@ -78,6 +87,33 @@ class TestZeroDivisorPresentation:
             if r.rhs is not None:
                 check_alphabet(r.rhs, p_zd.alphabet)
         assert audit_orientation(p_zd) == []
+
+
+MACHINES = {
+    "minsky": minsky_utm,
+    "tiny_halting": tiny_halting_machine,
+    "tiny_looping": tiny_looping_machine,
+    "left_only_1x1": left_only_machine,
+}
+
+
+class TestCompiledText:
+    """The compiler's whole output, rule order and tags included, is pinned."""
+
+    @pytest.mark.parametrize("machine,construction,rules,digest", [
+        ("minsky", NILPOTENCY, 1560, "dfa548c4f55c1ced6da0cd26cfca8455a9ef1dc6ea3d02b9e73fe0f0133e1e0c"),
+        ("minsky", ZERO_DIVISOR, 441, "5ca6ff0a8452d989fd2f5f2bf6654f01d6428d6ccfc962bb183a2611babe1e4d"),
+        ("tiny_halting", NILPOTENCY, 36, "4be3f1f80d0184d538f1cef333d68283d32c793381137c0ff269fca6efcbb763"),
+        ("tiny_halting", ZERO_DIVISOR, 25, "11d40c67e28997bdd530ee1cd123b544138c0edd7dff98a3e00336209659252b"),
+        ("tiny_looping", NILPOTENCY, 92, "a1343efca70aca1d6331a6973c71d9f1d602fc0a9cacba13d50b66e980a3fd34"),
+        ("tiny_looping", ZERO_DIVISOR, 45, "54990fbdf1c68473880e4c557981fe388d57ea71183df2eb9eb3f2530745c81e"),
+        ("left_only_1x1", NILPOTENCY, 5, "a533f863e27fb11fdfbf216eb7a7bc63f7e4e377ed3a05c51fc1e9c6b80aa5a5"),
+        ("left_only_1x1", ZERO_DIVISOR, 6, "0e8b9494bb9a6d1fef7e21d56c90afc6bf5701f46eea4e5b0ab97cec35239c09"),
+    ])
+    def test_sha256(self, machine, construction, rules, digest):
+        p = make_presentation(MACHINES[machine](), construction)
+        assert len(p.rules) == rules
+        assert hashlib.sha256(format_presentation(p).encode()).hexdigest() == digest
 
 
 class TestEncodeDecode:
@@ -96,6 +132,13 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("bad", ["t t t", "R Q4 R", "R Q1 Q2 P0 R", "R P0 Q1 R", "L Q0 P0 R"])
     def test_decode_malformed(self, bad):
         assert decode_structure(parse_word(bad), NILPOTENCY) is None
+
+    def test_unknown_construction(self):
+        c = TMConfig((), 4, 3, ())
+        with pytest.raises(ValueError, match="unknown construction 'bogus'"):
+            encode_config(c, "bogus")
+        with pytest.raises(ValueError, match="unknown construction 'bogus'"):
+            decode_structure(parse_word("L Q4 P3 R"), "bogus")
 
     def test_roundtrip(self):
         rng = random.Random(5)

@@ -125,6 +125,41 @@ class TestDeciders:
                 run()
 
 
+class TestConstructionContract:
+    """A presentation or construction that does not fit is refused, not run."""
+
+    C = TMConfig((3,), 2, 3, ())  # halts after one step
+
+    def test_annihilate_unknown_construction(self, minsky, p_zd):
+        with pytest.raises(ValueError, match="bogus"):
+            annihilate_bounded(minsky, self.C, 5, "bogus", presentation=p_zd)
+
+    def test_annihilate_other_construction(self, minsky, p_nilp, p_zd):
+        with pytest.raises(ValueError, match="zerodivisor presentation"):
+            annihilate_bounded(minsky, self.C, 5, NILPOTENCY, presentation=p_zd)
+        with pytest.raises(ValueError, match="nilpotency presentation"):
+            zerodivisor_witness_bounded(minsky, self.C, 5, presentation=p_nilp)
+
+    def test_nilpotent_zerodivisor_presentation(self, minsky, p_zd):
+        with pytest.raises(ValueError, match="zerodivisor presentation"):
+            nilpotent_bounded(minsky, self.C, 5, presentation=p_zd)
+
+    def test_lockstep_other_construction(self, minsky, p_zd):
+        with pytest.raises(ValueError, match="zerodivisor presentation"):
+            lockstep(minsky, self.C, 3, NILPOTENCY, presentation=p_zd)
+
+    def test_probe_nilpotency_presentation(self, p_nilp):
+        with pytest.raises(ValueError, match="nilpotency presentation"):
+            cancellation_probe(5, 12, presentation=p_nilp)
+
+    def test_custom_presentation_allowed(self, minsky, p_nilp):
+        custom = Presentation(p_nilp.alphabet, p_nilp.rules, p_nilp.order)
+        assert custom.construction == "custom"
+        assert nilpotent_bounded(minsky, self.C, 5, presentation=custom).value == 1
+        assert annihilate_bounded(minsky, self.C, 5, presentation=custom).value == 1
+        assert lockstep(minsky, self.C, 3, NILPOTENCY, presentation=custom).ok
+
+
 class TestCancellationProbe:
     def test_simple_word_no_violation(self, minsky, p_zd):
         x = parse_word("L a0 R")

@@ -108,6 +108,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             TMSpec(states=1, colors=1, table={(0, 0): Move("L", 5, 0)})
 
+    @pytest.mark.parametrize("states,colors", [(-1, 1), (0, 0), (1, 0), (0, 1)])
+    def test_needs_a_state_and_a_color(self, states, colors):
+        with pytest.raises(ValueError, match="at least one state and one color"):
+            TMSpec(states=states, colors=colors, table={})
+        with pytest.raises(ValueError, match="at least one state and one color"):
+            parse_tm_spec(f"states {states}\ncolors {colors}\n")
+
     def test_config_validate(self, minsky):
         with pytest.raises(ValueError):
             TMConfig((9,), 0, 0, ()).validate(minsky)
