@@ -174,21 +174,23 @@ def format_presentation(p: Presentation) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
-    alphabet: tuple[str, ...] = ()
-    kind = ""
+    header: dict[str, str] = {}
     rule_lines: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("alphabet:"):
-            alphabet = parse_word(line.split(":", 1)[1])
-        elif line.startswith("order:"):
-            kind = line.split(":", 1)[1].strip()
+        if line.startswith(("alphabet:", "order:")):
+            key, _, value = line.partition(":")
+            if key in header:
+                raise ValueError(f"bad line: {raw!r} (second {key} header)")
+            header[key] = value
         elif line.startswith("rule:"):
             rule_lines.append(raw)
         else:
             raise ValueError(f"bad line: {raw!r}")
+    alphabet = parse_word(header.get("alphabet", ""))
+    kind = header.get("order", "").strip()
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
     letters = frozenset(alphabet)

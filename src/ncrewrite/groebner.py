@@ -9,6 +9,7 @@ the empty word, two-sided monotonicity).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .orders import ReductionOrder
@@ -37,7 +38,14 @@ class Ambiguity:
 
 
 def find_ambiguities(p: Presentation) -> list[Ambiguity]:
-    """All overlap and inclusion ambiguities among rule lhs pairs."""
+    """All overlap and inclusion ambiguities among rule lhs pairs.
+
+    Overlaps come first, by rule1, offset, then rule2: each proper suffix of
+    lhs(rule1) is looked up among the proper prefixes of the lhs words.
+    Inclusions follow, by rule1, position, length of lhs(rule2), then rule2:
+    the presentation's own matcher finds them in lhs(rule1).  The rules are
+    a Gröbner basis when every ambiguity resolves (Bergman's diamond lemma).
+    """
     lhss = [r.lhs for r in p.rules]
     out: list[Ambiguity] = []
 
@@ -59,24 +67,13 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
                     offset2=k,
                 ))
 
-    word_index: dict[Word, list[int]] = {}
-    for rid, lhs in enumerate(lhss):
-        word_index.setdefault(lhs, []).append(rid)
+    lengths = p.matcher.lengths
     for r1, lhs1 in enumerate(lhss):
-        for i in range(len(lhs1)):
-            for j in range(i + 1, len(lhs1) + 1):
-                sub = lhs1[i:j]
-                for r2 in word_index.get(sub, ()):
-                    if r2 == r1 and sub == lhs1:
-                        continue
-                    out.append(Ambiguity(
-                        kind=INCLUSION,
-                        rule1=r1,
-                        rule2=r2,
-                        witness=lhs1,
-                        offset1=0,
-                        offset2=i,
-                    ))
+        hits = p.matcher.redexes(lhs1)  # by position, then rule id
+        hits.remove((0, r1))  # lhs1 itself
+        hits.sort(key=lambda hit: (hit[0], lengths[hit[1]]))  # stable: ids stay ascending
+        for pos, r2 in hits:
+            out.append(Ambiguity(INCLUSION, r1, r2, witness=lhs1, offset1=0, offset2=pos))
     return out
 
 
@@ -109,12 +106,11 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
     s1*x < s2*x.  Exponential in max_len; callers keep it small.
 
     The words are sorted once.  For each letter and side, the keys of the
-    extended words form a column down the sorted list; row i holds for
-    every later row exactly when its key is below the minimum of all later
-    keys, so one pass from the bottom decides all pairs (the keys must be
-    totally ordered by ``<``, as tuples of ints are).  Only failing rows
-    are walked pair by pair, which lists the violations in (s1, s2, x,
-    side) order.
+    extended words form a column down the sorted list, and the column
+    holds for every pair i < j exactly when it holds for every adjacent
+    pair, because ``<`` is transitive: the keys must be totally ordered by
+    ``<``, as tuples of ints are.  Only the columns that fail are walked
+    pair by pair, which lists the violations in (s1, s2, x, side) order.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -147,38 +143,20 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
         k = keys.get(w)
         return order.sort_key(w) if k is None else k
 
-    failing: set[int] = set()
-    columns: dict[tuple[str, str], list] = {}  # only those with a failing row
+    broken = []
     for x in alphabet:
         left = [key_of((x,) + s) for s in ranked]
         right = [key_of(s + (x,)) for s in ranked]
         for side, column in (("left", left), ("right", right)):
-            rows = _rows_not_below_later(column)
-            if rows:
-                failing.update(rows)
-                columns[x, side] = column
+            if not all(map(operator.lt, column, column[1:])):
+                broken.append((side, x, column))
 
-    broken = [(side, x, columns[x, side]) for x in alphabet for side in ("left", "right")
-              if (x, side) in columns]
-    for i in sorted(failing):
-        for j in range(i + 1, n):
+    if broken:
+        for i, j in itertools.combinations(range(n), 2):
             for side, x, column in broken:
                 if not column[i] < column[j]:
                     report.violations.append((side, x, ranked[i], ranked[j]))
     return report
-
-
-def _rows_not_below_later(column: list) -> list[int]:
-    """Rows i whose entry is not below every entry after it."""
-    rows = []
-    later_min = column[-1]
-    for i in range(len(column) - 2, -1, -1):
-        k = column[i]
-        if k < later_min:
-            later_min = k
-        else:
-            rows.append(i)
-    return rows
 
 
 def audit_orientation(p: Presentation) -> list[int]:

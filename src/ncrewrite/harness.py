@@ -13,9 +13,9 @@ from typing import Optional
 
 from .encodings import encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
-from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, concat, normalize
+from .rewrite import Polynomial, Presentation, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
-from .words import Word, letter_kind
+from .words import Word, letter_kind, psi_alphabet
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ def lockstep(
     steps: int,
     construction: str,
     presentation: Presentation | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> LockstepReport:
     """Run machine and rewriting side by side for up to `steps` steps.
 
@@ -97,7 +96,7 @@ def lockstep(
     c = c0
     for n in range(steps):
         w = encode_config(c, construction)
-        actual, _ = normalize(Polynomial.from_word(("t",) + w), p, budget)
+        actual, _ = normalize(Polynomial.from_word(("t",) + w), p)
         nxt = tm_step(spec, c)
         if nxt is None:
             halted = True
@@ -106,9 +105,7 @@ def lockstep(
             if not matched:
                 divergence = n
             break
-        expected, _ = normalize(
-            Polynomial.from_word(encode_config(nxt, construction) + tail), p, budget
-        )
+        expected, _ = normalize(Polynomial.from_word(encode_config(nxt, construction) + tail), p)
         matched = actual == expected
         records.append(StepRecord(c, w, actual, expected, matched))
         if not matched:
@@ -124,7 +121,6 @@ def annihilate_bounded(
     nmax: int,
     construction: str = NILPOTENCY,
     presentation: Presentation | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> DecisionOutcome:
     """Smallest N <= nmax with t^N * encode(c0) normalizing to zero."""
     if nmax < 1:
@@ -132,9 +128,9 @@ def annihilate_bounded(
     c0.validate(spec)
     p = _presentation(spec, construction, presentation)
     t = Polynomial.from_word(("t",))
-    x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p, budget)
+    x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p)
     for n in range(1, nmax + 1):
-        x, _ = normalize(concat(t, x), p, budget)
+        x, _ = normalize(concat(t, x), p)
         if x.is_zero():
             return DecisionOutcome.found(n)
     return DecisionOutcome.unknown(nmax)
@@ -145,7 +141,6 @@ def nilpotent_bounded(
     c0: TMConfig,
     nmax: int,
     presentation: Presentation | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> DecisionOutcome:
     """Smallest n <= nmax with (t * encode(c0))^n normalizing to zero."""
     if nmax < 1:
@@ -153,11 +148,11 @@ def nilpotent_bounded(
     c0.validate(spec)
     p = _presentation(spec, NILPOTENCY, presentation)
     base = Polynomial.from_word(("t",) + encode_config(c0, NILPOTENCY))
-    acc, _ = normalize(base, p, budget)
+    acc, _ = normalize(base, p)
     for n in range(1, nmax + 1):
         if acc.is_zero():
             return DecisionOutcome.found(n)
-        acc, _ = normalize(concat(acc, base), p, budget)
+        acc, _ = normalize(concat(acc, base), p)
     return DecisionOutcome.unknown(nmax)
 
 
@@ -166,19 +161,16 @@ def zerodivisor_witness_bounded(
     c0: TMConfig,
     nmax: int,
     presentation: Presentation | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> DecisionOutcome:
     """Left annihilator t^N for encode(c0) in the zero-divisor algebra."""
-    return annihilate_bounded(
-        spec, c0, nmax, ZERO_DIVISOR, presentation=presentation, budget=budget
-    )
+    return annihilate_bounded(spec, c0, nmax, ZERO_DIVISOR, presentation=presentation)
 
 
-def _random_structured_word(rng: random.Random, spec: TMSpec, max_len: int) -> Word:
+def _random_structured_word(rng: random.Random, states: int, colors: int, max_len: int) -> Word:
     room = max(0, (max_len - 4) // 2)
-    u = tuple(rng.randrange(spec.colors) for _ in range(rng.randint(0, room)))
-    v = tuple(rng.randrange(spec.colors) for _ in range(rng.randint(0, room)))
-    c = TMConfig(u, rng.randrange(spec.states), rng.randrange(spec.colors), v)
+    u = tuple(rng.randrange(colors) for _ in range(rng.randint(0, room)))
+    v = tuple(rng.randrange(colors) for _ in range(rng.randint(0, room)))
+    c = TMConfig(u, rng.randrange(states), rng.randrange(colors), v)
     w = list(encode_config(c, ZERO_DIVISOR))
     for _ in range(rng.randint(0, 3)):
         if len(w) >= max_len:
@@ -195,9 +187,7 @@ def cancellation_probe(
     samples: int,
     max_len: int,
     seed: int = 0,
-    spec: TMSpec | None = None,
     presentation: Presentation | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[Word, str, int]]:
     """Probe right-t / left-s cancellation in the zero-divisor algebra.
 
@@ -205,31 +195,35 @@ def cancellation_probe(
     configuration words with extra t/s letters, half fully random) and
     checks that X t^n and s^n X stay nonzero for n in 1..3.  Returns the
     violations found (expected empty).  ``presentation`` defaults to the
-    zero-divisor presentation of ``spec``.
+    zero-divisor presentation of Minsky's machine.  The machine shape of
+    the configuration words is read off its Q<i> and a<k> letters.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     rng = random.Random(seed)
-    spec = spec if spec is not None else minsky_utm()
-    p = _presentation(spec, ZERO_DIVISOR, presentation)
+    p = _presentation(minsky_utm(), ZERO_DIVISOR, presentation)
+    states = sum(x.startswith("Q") for x in p.alphabet)
+    colors = sum(x.startswith("a") for x in p.alphabet)
+    # configuration words only over a full zero-divisor alphabet of that shape
+    structured = states and colors and p.letters.issuperset(psi_alphabet(states, colors))
     violations: list[tuple[Word, str, int]] = []
     produced = 0
     while produced < samples:
-        if rng.random() < 0.5:
-            x = _random_structured_word(rng, spec, max_len)
+        if structured and rng.random() < 0.5:
+            x = _random_structured_word(rng, states, colors, max_len)
         else:
             x = _random_word(rng, p.alphabet, max_len)
-        nf, _ = normalize(Polynomial.from_word(x), p, budget)
+        nf, _ = normalize(Polynomial.from_word(x), p)
         if nf.is_zero():
             continue
         produced += 1
         for n in (1, 2, 3):
-            right, _ = normalize(Polynomial.from_word(x + ("t",) * n), p, budget)
+            right, _ = normalize(Polynomial.from_word(x + ("t",) * n), p)
             if right.is_zero():
                 violations.append((x, "right-t", n))
-            left, _ = normalize(Polynomial.from_word(("s",) * n + x), p, budget)
+            left, _ = normalize(Polynomial.from_word(("s",) * n + x), p)
             if left.is_zero():
                 violations.append((x, "left-s", n))
     return violations

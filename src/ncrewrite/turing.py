@@ -161,26 +161,27 @@ def format_tm_spec(spec: TMSpec) -> str:
 
 
 def parse_tm_spec(text: str) -> TMSpec:
-    states = colors = None
+    header: dict[str, int] = {}
     table: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "states" and len(parts) == 2:
-            states = int(parts[1])
-        elif parts[0] == "colors" and len(parts) == 2:
-            colors = int(parts[1])
-        elif parts[0] == "rule" and parts[3:] == ["->", "STOP"]:
-            table[(int(parts[1]), int(parts[2]))] = STOP
-        elif parts[0] == "rule" and len(parts) == 7 and parts[3] == "->":
-            table[(int(parts[1]), int(parts[2]))] = Move(parts[4], int(parts[5]), int(parts[6]))
+        if parts[0] in ("states", "colors") and len(parts) == 2:
+            if parts[0] in header:
+                raise ValueError(f"bad line: {raw!r} (second {parts[0]} header)")
+            header[parts[0]] = int(parts[1])
+        elif parts[0] == "rule" and (parts[3:] == ["->", "STOP"] or len(parts) == 7 and parts[3] == "->"):
+            pair = (int(parts[1]), int(parts[2]))
+            if pair in table:
+                raise ValueError(f"bad line: {raw!r} (second rule for {pair})")
+            table[pair] = Move(parts[4], int(parts[5]), int(parts[6])) if len(parts) == 7 else STOP
         else:
             raise ValueError(f"bad line: {raw!r}")
-    if states is None or colors is None:
+    if "states" not in header or "colors" not in header:
         raise ValueError("missing states/colors header")
-    return TMSpec(states=states, colors=colors, table=table)
+    return TMSpec(states=header["states"], colors=header["colors"], table=table)
 
 
 def format_config(c: TMConfig) -> str:
@@ -192,6 +193,9 @@ def format_config(c: TMConfig) -> str:
     )
 
 
+_CONFIG_FIELDS = ("left", "state", "cell", "right")
+
+
 def parse_config(text: str) -> TMConfig:
     fields: dict[str, str] = {}
     for raw in text.splitlines():
@@ -199,8 +203,13 @@ def parse_config(text: str) -> TMConfig:
         if not line:
             continue
         key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    for key in ("left", "state", "cell", "right"):
+        key = key.strip()
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"bad line: {raw!r} (unknown config field {key!r})")
+        if key in fields:
+            raise ValueError(f"bad line: {raw!r} (second {key!r} field)")
+        fields[key] = value.strip()
+    for key in _CONFIG_FIELDS:
         if key not in fields:
             raise ValueError(f"missing config field {key!r}")
     return TMConfig(

@@ -48,6 +48,24 @@ def test_overlaps_dirty(tmp_path, capsys):
     assert "OVERLAP" in capsys.readouterr().out
 
 
+def test_overlaps_inclusion_order(tmp_path, capsys):
+    # inside r2, the longer r0 and the shorter r1 both start at position 1:
+    # inclusions list position, then shorter lhs first, then rule id
+    path = tmp_path / "incl.rules"
+    path.write_text("alphabet: a0 a1 a2 a3\norder: deglex\nrule: a1 a2 -> a0\nrule: a1 -> a0\n"
+                    "rule: a0 a1 a2 a3 -> 0\nrule: a3 a0 -> a0\n")
+    rc = main(["overlaps", "--presentation", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        "OVERLAP r2 r3 witness: a0 a1 a2 a3 a0\n"
+        "OVERLAP r3 r2 witness: a3 a0 a1 a2 a3\n"
+        "INCLUSION r0 r1 witness: a1 a2\n"
+        "INCLUSION r2 r1 witness: a0 a1 a2 a3\n"
+        "INCLUSION r2 r0 witness: a0 a1 a2 a3\n"
+        "5 ambiguities\n"
+    )
+
+
 def test_verify_order(capsys):
     rc = main(["verify-order", "--order", "nilpotency", "--max-len", "3"])
     assert rc == 0
@@ -175,7 +193,7 @@ def test_budget_exhausted_is_unknown(nilp_file, capsys):
     assert "budget exhausted after 1 steps" in captured.err
 
 
-@pytest.mark.parametrize("line", ["rule 0 0 ->", "states"])
+@pytest.mark.parametrize("line", ["rule 0 0 ->", "states", "states 2", "colors 2", "rule 0 0 -> STOP"])
 def test_short_tm_spec_line_is_usage_error(line, config_file, tmp_path, capsys):
     tm = tmp_path / "short.tm"
     tm.write_text(format_tm_spec(tiny_looping_machine()) + line + "\n")
@@ -196,3 +214,19 @@ def test_start_state_out_of_range_is_usage_error(tmp_path, capsys):
     cfg.write_text(format_config(TMConfig((), 9, 0, ())))
     rc = main(["lockstep", "--config", str(cfg), "--steps", "1", "--construction", "nilpotency"])
     assert_usage_error(rc, capsys.readouterr(), "state or color out of range")
+
+
+@pytest.mark.parametrize("line", ["state: 3", "bogus: 4"])
+def test_repeated_or_unknown_config_field_is_usage_error(line, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(format_config(TMConfig((), 2, 0, ())) + line + "\n")
+    rc = main(["tm-run", "--config", str(cfg), "--budget", "1"])
+    assert_usage_error(rc, capsys.readouterr(), "bad line", repr(line))
+
+
+@pytest.mark.parametrize("line", ["alphabet: a0 a1", "order: deglex"])
+def test_repeated_presentation_header_is_usage_error(line, tmp_path, capsys):
+    path = tmp_path / "twice.rules"
+    path.write_text(f"alphabet: a0 a1\norder: deglex\n{line}\nrule: a0 a1 -> a1 a0\n")
+    rc = main(["overlaps", "--presentation", str(path)])
+    assert_usage_error(rc, capsys.readouterr(), "bad line", repr(line))

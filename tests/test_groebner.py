@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncrewrite import (
     Presentation,
@@ -18,8 +20,12 @@ from ncrewrite.groebner import INCLUSION, OVERLAP, Ambiguity, OrderAuditReport
 from ncrewrite.orders import DEGLEX, ReductionOrder
 
 
+def as_tuple(a):
+    return (a.kind, a.rule1, a.rule2, a.witness, a.offset1, a.offset2)
+
+
 def as_set(ambiguities):
-    return {(a.kind, a.rule1, a.rule2, a.witness, a.offset1, a.offset2) for a in ambiguities}
+    return set(map(as_tuple, ambiguities))
 
 
 def naive_ambiguity_scan(p):
@@ -44,6 +50,22 @@ def synthetic(rules):
     order = ReductionOrder(DEGLEX, ("a0", "a1", "a2", "a3"))
     letters = ("a0", "a1", "a2", "a3")
     return Presentation(letters, tuple(rules), order)
+
+
+lhs_words = st.lists(st.sampled_from(("a0", "a1", "a2")), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def lhs_lists(draw):
+    """Short lhs words over three letters, so they often overlap, plus factors
+    (prefixes among them) and repeats of the words drawn."""
+    words = draw(st.lists(lhs_words, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.sampled_from(words))
+        i = draw(st.integers(0, len(w) - 1))
+        j = draw(st.integers(i + 1, len(w)))
+        words.insert(draw(st.integers(0, len(words))), w[i:j])
+    return words
 
 
 class TestFindAmbiguities:
@@ -86,6 +108,12 @@ class TestFindAmbiguities:
             Rule(("a1", "a0"), ("a2", "a2")),
         ])
         assert as_set(find_ambiguities(p)) == as_set(naive_ambiguity_scan(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lhs_lists())
+    def test_agrees_with_naive_scan_as_multisets(self, lhss):
+        p = synthetic([Rule(w, None) for w in lhss])
+        assert sorted(map(as_tuple, find_ambiguities(p))) == sorted(map(as_tuple, naive_ambiguity_scan(p)))
 
 
 class TestResolveAmbiguity:

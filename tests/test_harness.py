@@ -12,6 +12,7 @@ from ncrewrite import (
     TMConfig,
     annihilate_bounded,
     cancellation_probe,
+    decode_structure,
     encode_config,
     htilde,
     lockstep,
@@ -22,6 +23,7 @@ from ncrewrite import (
     zerodivisor_presentation,
     zerodivisor_witness_bounded,
 )
+from ncrewrite.orders import DEGLEX, ReductionOrder
 
 
 class TestHtilde:
@@ -179,6 +181,21 @@ class TestCancellationProbe:
     def test_deterministic_under_seed(self, p_zd):
         assert cancellation_probe(20, 8, seed=7, presentation=p_zd) == \
             cancellation_probe(20, 8, seed=7, presentation=p_zd)
+
+    def test_other_machine_presentation(self, tiny_halt):
+        # configuration words come from the tiny machine's own Q<i> and a<k> letters
+        p = zerodivisor_presentation(tiny_halt)
+        assert cancellation_probe(50, 10, seed=42, presentation=p) == []
+        q = Presentation(p.alphabet, p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
+        violations = cancellation_probe(50, 10, seed=42, presentation=q)
+        assert any(decode_structure(x, ZERO_DIVISOR) is not None for x, _, _ in violations)
+        assert all(set(x) <= q.letters for x, _, _ in violations)
+
+    def test_presentation_without_machine_letters(self):
+        letters = ("t", "s", "R")
+        p = Presentation(letters, (Rule(("R", "t"), None),), ReductionOrder(DEGLEX, letters))
+        violations = cancellation_probe(30, 6, seed=1, presentation=p)
+        assert violations and all(set(x) <= p.letters for x, _, _ in violations)
 
     def test_reports_violations(self, p_zd):
         # with R t -> 0 added, a word ending in R loses its right t

@@ -140,7 +140,13 @@ class TestTextFormats:
             parse_tm_spec("states 1\ncolors 1\nbogus\n")
 
     @pytest.mark.parametrize("line", ["rule 0 0 ->", "states", "colors 1 2", "rule 0 0 -> L 0",
-                                      "rule 0 0 -> STOP 1", "rule 0 0 => STOP"])
+                                      "rule 0 0 -> STOP 1", "rule 0 0 => STOP",
+                                      "states 1", "colors 2", "rule 0 0 -> STOP\nrule 0 0 -> L 0 0"])
     def test_short_or_malformed_line(self, line):
         with pytest.raises(ValueError, match="bad line"):
             parse_tm_spec(f"states 1\ncolors 1\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["state: 3", "right: 1", "bogus: 4", "cells: 1"])
+    def test_repeated_or_unknown_config_field(self, line):
+        with pytest.raises(ValueError, match="bad line"):
+            parse_config(f"left:\nstate: 2\ncell: 0\nright:\n{line}\n")
