@@ -72,7 +72,9 @@ def cmd_verify_order(args) -> int:
         order = nilpotency_order()
     else:
         order = zerodivisor_order()
-    alphabet = tuple(args.alphabet.split()) if args.alphabet else DEFAULT_AUDIT_ALPHABETS[args.order]
+    alphabet = DEFAULT_AUDIT_ALPHABETS[args.order] if args.alphabet is None else tuple(args.alphabet.split())
+    if not alphabet or len(set(alphabet)) < len(alphabet):  # words would repeat or be none
+        raise ValueError(f"--alphabet must list distinct letters, got {args.alphabet!r}")
     report = audit_order(order, alphabet, args.max_len)
     print(f"alphabet: {' '.join(report.alphabet)}")
     print(f"max length: {report.max_len}")

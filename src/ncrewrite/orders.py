@@ -72,6 +72,8 @@ class ReductionOrder:
         self.kind = kind
         self.precedence = tuple(precedence)
         self._neg_rank = {x: -i for i, x in enumerate(self.precedence)}
+        if len(self._neg_rank) < len(self.precedence):
+            raise ValueError(f"order precedence repeats a letter: {' '.join(self.precedence)}")
         # classify (and so validate) each letter once, so sort_key runs no
         # regex per letter
         forbidden = _NILP_FORBIDDEN if kind == NILPOTENCY else ()

@@ -8,12 +8,12 @@ equality tests, polynomial text and the products the bounded deciders
 build; ``normalize`` runs the word normalizer on each of its terms and
 adds up the coefficients of equal normal forms.
 
-Normalization reads a word once through an Aho-Corasick automaton over all
-rule left-hand sides.  The reduced prefix is kept as a stack of letters and
-automaton states; a rewrite pops the left-hand side, puts the right-hand
-side back in front of the unread input and resumes from the state on top of
-the stack, so each rewrite step costs constant work, whatever the length of
-the word.
+Normalization reads a word once through a deterministic Aho-Corasick
+automaton over all rule left-hand sides, one lookup per letter.  The
+reduced prefix is kept as a stack of letters and automaton states; a
+rewrite pops the left-hand side, puts the right-hand side back in front of
+the unread input and resumes from the state on top of the stack, so each
+rewrite step costs constant work, whatever the length of the word.
 """
 
 from __future__ import annotations
@@ -149,7 +149,12 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 class Matcher:
-    """Aho-Corasick automaton reporting all pattern occurrences in a word."""
+    """Deterministic Aho-Corasick automaton: the failure links are folded
+    into ``_goto`` at build time, so a walk reads a letter with one lookup.
+    ``_out[s]``: the patterns ending at state s, longest (lowest id) first.
+    ``_horizon[s]``: the trie depth of s, plus one if a pattern extends it;
+    it is > k iff the pattern prefix being read began over k letters back,
+    or k back and can still grow."""
 
     def __init__(self, patterns: list[Word]):
         self.patterns = [tuple(p) for p in patterns]
@@ -170,35 +175,27 @@ class Matcher:
                     depth.append(depth[s] + 1)
                 s = nxt
             out[s].append(pid)
-        fail = [0] * len(goto)
-        queue = deque()
-        for s in goto[0].values():
-            queue.append(s)
+        self._horizon = [d + (1 if g else 0) for d, g in zip(depth, goto)]
+        # Breadth first, so a state's failure state (shallower) is folded
+        # already; a leaf has no transitions of its own and shares that dict.
+        queue = deque((u, 0) for u in goto[0].values())
         while queue:
-            r = queue.popleft()
-            for x, u in goto[r].items():
-                queue.append(u)
-                f = fail[r]
-                while f and x not in goto[f]:
-                    f = fail[f]
-                fr = goto[f].get(x, 0)
-                fail[u] = fr if fr != u else 0
-                # own patterns first, so out[u][0] is the longest, lowest-id one
-                out[u] = out[u] + out[fail[u]]
+            u, f = queue.popleft()
+            for x, v in goto[u].items():
+                queue.append((v, goto[f].get(x, 0)))
+            # own patterns first, so out[u][0] is the longest, lowest-id one
+            out[u] = out[u] + out[f]
+            goto[u] = {**goto[f], **goto[u]} if goto[u] else goto[f]
         self._goto = goto
-        self._fail = fail
         self._out = out
-        self._depth = depth
         self.lengths = [len(p) for p in self.patterns]
 
     def redexes(self, word: Word) -> list[tuple[int, int]]:
         """All (position, pattern id) occurrences, sorted by position then id."""
-        goto, fail, out, lengths = self._goto, self._fail, self._out, self.lengths
+        goto, out, lengths = self._goto, self._out, self.lengths
         found = []
         s = 0
         for i, x in enumerate(word):
-            while s and x not in goto[s]:
-                s = fail[s]
             s = goto[s].get(x, 0)
             for pid in out[s]:
                 found.append((i - lengths[pid] + 1, pid))
@@ -260,7 +257,7 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
     # they do rather than by implementation spans.
     if not matcher.redexes(w):
         return w, 0
-    goto, fail, out, depth = matcher._goto, matcher._fail, matcher._out, matcher._depth
+    goto, out, horizon = matcher._goto, matcher._out, matcher._horizon
     rules, lhs_len = p.rules, matcher.lengths
     letters: list[str] = []  # the prefix read so far
     states = [0]  # states[k]: automaton state after letters[:k]
@@ -271,10 +268,7 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
     while True:
         if pending:
             x = pending.pop()
-            s = states[-1]
-            while s and x not in goto[s]:
-                s = fail[s]
-            s = goto[s].get(x, 0)
+            s = goto[states[-1]].get(x, 0)
             letters.append(x)
             states.append(s)
             if out[s]:
@@ -286,8 +280,7 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
                 continue
             # A pattern prefix still being read that starts before pos, or at
             # pos and can grow, may complete into a better redex: read on.
-            reach = len(letters) - pos
-            if depth[s] > reach or (depth[s] == reach and goto[s]):
+            if horizon[s] > len(letters) - pos:
                 continue
         elif pos < 0:
             return tuple(letters), steps

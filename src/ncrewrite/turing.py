@@ -202,10 +202,12 @@ def parse_config(text: str) -> TMConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition(":")
+        key, colon, value = line.partition(":")
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"bad line: {raw!r} (unknown config field {key!r})")
+        if not colon:
+            raise ValueError(f"bad line: {raw!r} (no ':' after {key!r})")
         if key in fields:
             raise ValueError(f"bad line: {raw!r} (second {key!r} field)")
         fields[key] = value.strip()

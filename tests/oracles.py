@@ -2,10 +2,26 @@
 
 They read the raw rule list and find redexes by plain slicing, without
 the Aho-Corasick automaton, so agreement with ``normalize`` is evidence
-from a second, independent path.
+from a second, independent path.  ``config_word`` draws the words that
+reach the long left-hand sides of the compute rules.
 """
 
-from ncrewrite import Polynomial
+from ncrewrite import NILPOTENCY, Polynomial, TMConfig, encode_config
+
+
+def config_word(rng, construction):
+    """t times a random Minsky configuration word, with up to three more t/s letters inserted."""
+    c = TMConfig(
+        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
+        rng.randrange(7),
+        rng.randrange(4),
+        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
+    )
+    w = ["t", *encode_config(c, construction)]
+    extra = ("t",) if construction == NILPOTENCY else ("t", "s")
+    for _ in range(rng.randint(0, 3)):
+        w.insert(rng.randint(0, len(w)), rng.choice(extra))
+    return tuple(w)
 
 
 class RightmostOracle:

@@ -28,7 +28,7 @@ from ncrewrite import (
 )
 from ncrewrite.groebner import audit_order, audit_orientation
 from ncrewrite.orders import deg_t
-from oracles import LeftmostOracle, RightmostOracle, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, config_word, one_step_rewrites
 
 
 def report(num, label):
@@ -70,21 +70,6 @@ def test_criterion_3_order_axioms():
               "on sub-alphabets, and to length 3 on both full alphabets")
 
 
-def _config_word(rng, construction):
-    """t times a random configuration word, with up to three more t/s letters inserted."""
-    c = TMConfig(
-        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
-        rng.randrange(7),
-        rng.randrange(4),
-        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
-    )
-    w = ["t", *encode_config(c, construction)]
-    extra = ("t",) if construction == NILPOTENCY else ("t", "s")
-    for _ in range(rng.randint(0, 3)):
-        w.insert(rng.randint(0, len(w)), rng.choice(extra))
-    return tuple(w)
-
-
 def test_criterion_4_confluence(p_nilp, p_zd):
     # uniform words rarely hold the 4-to-6-letter lhs of a compute rule;
     # configuration words with a t to their left always reach one
@@ -94,7 +79,7 @@ def test_criterion_4_confluence(p_nilp, p_zd):
         rightmost = RightmostOracle(p.rules)
         letters = list(p.alphabet)
         uniform = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 30))) for _ in range(500)]
-        configs = [_config_word(rng, p.construction) for _ in range(500)]
+        configs = [config_word(rng, p.construction) for _ in range(500)]
         for w in uniform + configs:
             nf, steps = normalize(Polynomial.from_word(w), p)
             assert (nf, steps) == leftmost.normalize(w), w

@@ -166,10 +166,13 @@ def assert_usage_error(rc, captured, *fragments):
     ["verify-order", "--order", "nilpotency", "--max-len", "-1"],
     ["cancellation-probe", "--samples", "5", "--max-len", "0"],
     ["verify-order", "--order", "zerodivisor", "--max-len", "0"],
+    ["verify-order", "--order", "nilpotency", "--alphabet", "t t a0", "--max-len", "2"],
+    ["verify-order", "--order", "nilpotency", "--alphabet", "   ", "--max-len", "2"],
+    ["verify-order", "--order", "zerodivisor", "--alphabet", "", "--max-len", "2"],
 ])
 def test_vacuous_bound_is_usage_error(argv, capsys):
     rc = main(argv)
-    assert_usage_error(rc, capsys.readouterr(), "max_len")
+    assert_usage_error(rc, capsys.readouterr(), "--alphabet" if "--alphabet" in argv else "max_len")
 
 
 def test_negative_tm_run_budget_is_usage_error(config_file, capsys):
@@ -222,6 +225,21 @@ def test_repeated_or_unknown_config_field_is_usage_error(line, tmp_path, capsys)
     cfg.write_text(format_config(TMConfig((), 2, 0, ())) + line + "\n")
     rc = main(["tm-run", "--config", str(cfg), "--budget", "1"])
     assert_usage_error(rc, capsys.readouterr(), "bad line", repr(line))
+
+
+@pytest.mark.parametrize("field", ["left", "right"])
+def test_config_field_without_colon_is_usage_error(field, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(format_config(TMConfig((), 2, 0, ())).replace(f"{field}:", field))
+    rc = main(["tm-run", "--config", str(cfg), "--budget", "1"])
+    assert_usage_error(rc, capsys.readouterr(), "bad line", repr(field))
+
+
+def test_repeated_alphabet_letter_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "repeat.rules"
+    path.write_text("alphabet: t a0 t\norder: deglex\nrule: t -> a0\n")
+    rc = main(["overlaps", "--presentation", str(path)])
+    assert_usage_error(rc, capsys.readouterr(), "repeats a letter")
 
 
 @pytest.mark.parametrize("line", ["alphabet: a0 a1", "order: deglex"])

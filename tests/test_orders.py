@@ -8,6 +8,7 @@ from ncrewrite import (
     AlphabetError,
     height,
     nilpotency_order,
+    parse_presentation,
     parse_word,
     weighted_degree,
     zerodivisor_order,
@@ -163,3 +164,10 @@ class TestSortKey:
     def test_precedence_letters_validated(self):
         with pytest.raises(AlphabetError):
             ReductionOrder(DEGLEX, ("a0", "x1"))
+
+    def test_precedence_repeating_a_letter_rejected(self):
+        # the rank of t would be ambiguous: first place, or last
+        with pytest.raises(ValueError, match="repeats a letter"):
+            ReductionOrder(DEGLEX, ("t", "a0", "t"))
+        with pytest.raises(ValueError, match="repeats a letter"):
+            parse_presentation("alphabet: t a0 t\norder: deglex\nrule: t -> a0\n")

@@ -23,7 +23,7 @@ from ncrewrite import (
     parse_word,
 )
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from oracles import LeftmostOracle, RightmostOracle, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, config_word, one_step_rewrites
 
 
 def naive_scan(patterns, word):
@@ -101,13 +101,21 @@ class TestMatcher:
         m = Matcher(pats)
         assert m.redexes(word) == naive_scan(pats, word)
 
-    def test_minsky_lhs_set(self, p_nilp):
+    def test_minsky_lhs_set(self, p_nilp, p_zd):
+        # configuration words with stray t/s letters walk the deep states of
+        # the automaton, which uniform words rarely reach
         rng = random.Random(7)
-        letters = list(p_nilp.alphabet)
-        pats = [r.lhs for r in p_nilp.rules]
-        for _ in range(50):
-            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 60)))
-            assert p_nilp.matcher.redexes(word) == naive_scan(pats, word)
+        for p in (p_nilp, p_zd):
+            letters = list(p.alphabet)
+            pats = [r.lhs for r in p.rules]
+            uniform = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 60))) for _ in range(50)]
+            configs = [config_word(rng, p.construction) for _ in range(50)]
+            longest = 0
+            for word in uniform + configs:
+                hits = p.matcher.redexes(word)
+                assert hits == naive_scan(pats, word), word
+                longest = max([longest] + [len(pats[rid]) for _, rid in hits])
+            assert longest >= 4, p.construction
 
 
 class TestReduceOnce:

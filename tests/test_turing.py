@@ -150,3 +150,10 @@ class TestTextFormats:
     def test_repeated_or_unknown_config_field(self, line):
         with pytest.raises(ValueError, match="bad line"):
             parse_config(f"left:\nstate: 2\ncell: 0\nright:\n{line}\n")
+
+    @pytest.mark.parametrize("text", ["left\nstate: 2\ncell: 0\nright: 1\n",
+                                      "left: 1\nstate: 2\ncell: 0\nright\n"])
+    def test_config_field_without_colon(self, text):
+        # an empty tape still needs its colon; without it the line is malformed
+        with pytest.raises(ValueError, match="bad line"):
+            parse_config(text)
