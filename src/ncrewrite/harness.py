@@ -148,11 +148,11 @@ def nilpotent_bounded(
     c0.validate(spec)
     p = _presentation(spec, NILPOTENCY, presentation)
     base = Polynomial.from_word(("t",) + encode_config(c0, NILPOTENCY))
-    acc, _ = normalize(base, p)
+    acc = Polynomial.from_word(())  # the empty word: the 0th power
     for n in range(1, nmax + 1):
+        acc, _ = normalize(concat(acc, base), p)
         if acc.is_zero():
             return DecisionOutcome.found(n)
-        acc, _ = normalize(concat(acc, base), p)
     return DecisionOutcome.unknown(nmax)
 
 

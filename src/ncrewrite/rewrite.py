@@ -14,6 +14,20 @@ reduced prefix is kept as a stack of letters and automaton states; a
 rewrite pops the left-hand side, puts the right-hand side back in front of
 the unread input and resumes from the state on top of the stack, so each
 rewrite step costs constant work, whatever the length of the word.
+
+Sweeps.  A machine step is one letter (``t``, or the ``s`` it turns into)
+crossing the tape one cell per commutation rule.  Building the automaton
+also finds, from the rules alone, the commuting families ``c x y -> x c y``
+and ``c x -> x c`` over a letter set S (see ``_sweep_table``); when one of
+their rules is about to fire at state 0, the normalizer carries c across
+the whole run of S letters ahead in one operation and counts one step per
+crossing, so normal forms, step counts and ``BudgetExhausted`` are those of
+the elementary loop.  Per machine step, ``normalize(t * encode(c))`` on
+Minsky's machine at 100 / 800 / 6400 letters costs about 49 / 206 / 1350 µs
+(nilpotency) and 38 / 238 / 1700 µs (zero-divisor), against 204 / 1980 /
+13980 and 257 / 2050 / 10280 µs with one rule per crossing, and 2-3 / 4-5 /
+19-24 µs for ``tm_step`` (best of 10, 2-vCPU shared host, Python 3.11.7).
+What is left is mostly the entry ``Matcher.redexes`` scan.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Mapping, Optional
 
 from .orders import ReductionOrder
@@ -203,6 +218,49 @@ class Matcher:
         return found
 
 
+def _sweep_table(rules: tuple[Rule, ...], matcher: Matcher) -> dict[int, frozenset[str]]:
+    """Rule id -> letter set S, over the rules of the commuting families.
+
+    A family is a mover c with the rules ``c x y -> x c y`` for all x, y in
+    S, or ``c x -> x c`` for all x in S; S is the set of letters x with a
+    rule ``c x x -> x c x`` (``c x -> x c``).  It counts only if no pattern
+    starts with a letter of S and each ``c x y`` (``c x``), read from the
+    root, gives no output before its last letter, then fires that rule as
+    ``out[s][0]`` with nothing more to read (``horizon[s] == len(lhs)``).
+    Then, from state 0, the leftmost-redex loop moves c across a run of S
+    letters one rule per step and leaves each crossed letter at state 0.
+    """
+    goto, out, horizon = matcher._goto, matcher._out, matcher._horizon
+
+    def fires(word: Word) -> Optional[int]:
+        s = 0
+        for x in word:
+            if out[s]:
+                return None
+            s = goto[s].get(x, 0)
+        if not out[s] or horizon[s] != len(word):
+            return None
+        rid = out[s][0]
+        rule = rules[rid]
+        return rid if rule.lhs == word and rule.rhs == (word[1], word[0]) + word[2:] else None
+
+    candidates: dict[tuple[str, int], set[str]] = {}  # (c, lhs length): S
+    for rule in rules:
+        lhs = rule.lhs
+        if len(lhs) == 2 or (len(lhs) == 3 and lhs[1] == lhs[2]):
+            if rule.rhs == (lhs[1], lhs[0]) + lhs[2:]:
+                candidates.setdefault((lhs[0], len(lhs)), set()).add(lhs[1])
+    table: dict[int, frozenset[str]] = {}
+    for (c, n), span in candidates.items():
+        if not span.isdisjoint(goto[0]):
+            continue
+        words = [(c, x, y) for x in span for y in span] if n == 3 else [(c, x) for x in span]
+        rids = [fires(word) for word in words]
+        if None not in rids:
+            table.update(dict.fromkeys(rids, frozenset(span)))
+    return table
+
+
 @dataclass(eq=False)
 class Presentation:
     """A finitely presented algebra: alphabet, oriented rules, reduction order."""
@@ -214,7 +272,19 @@ class Presentation:
 
     @functools.cached_property
     def matcher(self) -> Matcher:
-        return Matcher([r.lhs for r in self.rules])
+        return self._compiled[0]
+
+    @functools.cached_property
+    def sweeps(self) -> dict[int, frozenset[str]]:
+        """Rule id -> letter set, for the rules of the commuting families
+        (see ``_sweep_table``)."""
+        return self._compiled[1]
+
+    @functools.cached_property
+    def _compiled(self) -> tuple[Matcher, dict[int, frozenset[str]]]:
+        # one build for both, so asking for the matcher pays for the table too
+        matcher = Matcher([r.lhs for r in self.rules])
+        return matcher, _sweep_table(self.rules, matcher)
 
     @functools.cached_property
     def letters(self) -> frozenset[str]:
@@ -258,7 +328,7 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
     if not matcher.redexes(w):
         return w, 0
     goto, out, horizon = matcher._goto, matcher._out, matcher._horizon
-    rules, lhs_len = p.rules, matcher.lengths
+    rules, lhs_len, sweeps = p.rules, matcher.lengths, p.sweeps
     letters: list[str] = []  # the prefix read so far
     states = [0]  # states[k]: automaton state after letters[:k]
     pending = list(reversed(w))  # input still to read, next letter last
@@ -289,6 +359,24 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
             raise BudgetExhausted(
                 Polynomial.from_word(partial), steps, len(matcher.redexes(partial))
             )
+        span = sweeps.get(rid)
+        if span is not None and states[pos] == 0:
+            # This rule is one crossing, and each span letter pending behind
+            # the lhs allows one more (with c x y the run's last letter stays
+            # ahead of the mover): k steps in one go, within the budget.
+            run = list(takewhile(span.__contains__, reversed(pending)))
+            k = min(len(run) + 1, budget - steps)
+            if k > 1:
+                mover = letters.pop(pos)
+                m = k - (len(letters) - pos)  # crossed letters still pending
+                letters += run[:m]
+                del pending[len(pending) - m:]
+                pending.append(mover)
+                del states[pos + 1:]
+                states += [0] * k  # no pattern starts with a span letter
+                steps += k
+                pos = -1
+                continue
         steps += 1
         rule = rules[rid]
         if rule.rhs is None:

@@ -9,13 +9,14 @@ reach the long left-hand sides of the compute rules.
 from ncrewrite import NILPOTENCY, Polynomial, TMConfig, encode_config
 
 
-def config_word(rng, construction):
-    """t times a random Minsky configuration word, with up to three more t/s letters inserted."""
+def config_word(rng, construction, cells=6):
+    """t times a random Minsky configuration word with up to ``cells`` cells on
+    each side of the head, with up to three more t/s letters inserted."""
     c = TMConfig(
-        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
+        tuple(rng.randrange(4) for _ in range(rng.randint(0, cells))),
         rng.randrange(7),
         rng.randrange(4),
-        tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))),
+        tuple(rng.randrange(4) for _ in range(rng.randint(0, cells))),
     )
     w = ["t", *encode_config(c, construction)]
     extra = ("t",) if construction == NILPOTENCY else ("t", "s")

@@ -6,6 +6,7 @@ from ncrewrite import (
     NILPOTENCY,
     ZERO_DIVISOR,
     AlphabetError,
+    DecisionOutcome,
     Polynomial,
     Presentation,
     Rule,
@@ -23,6 +24,7 @@ from ncrewrite import (
     zerodivisor_presentation,
     zerodivisor_witness_bounded,
 )
+from ncrewrite import harness
 from ncrewrite.orders import DEGLEX, ReductionOrder
 
 
@@ -103,6 +105,20 @@ class TestDeciders:
             assert ann.witnessed and ann.value <= k + 1
             nil = nilpotent_bounded(minsky, c, ann.value, presentation=p_nilp)
             assert nil.witnessed
+
+    def test_nilpotent_normalizes_each_power_once(self, minsky, p_nilp, monkeypatch):
+        # powers 1..nmax of a running configuration, and not the (nmax+1)th
+        calls = []
+
+        def counting(x, p, *args):
+            calls.append(x)
+            return normalize(x, p, *args)
+
+        monkeypatch.setattr(harness, "normalize", counting)
+        c = TMConfig((), 2, 0, ())
+        assert not tm_run(minsky, c, 3).halted
+        assert nilpotent_bounded(minsky, c, 3, presentation=p_nilp) == DecisionOutcome.unknown(3)
+        assert len(calls) == 3
 
     def test_monotonicity(self, minsky, p_nilp):
         c = TMConfig((3,), 2, 3, ())
