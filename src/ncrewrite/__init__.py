@@ -17,9 +17,7 @@ from .orders import (
     ZERO_DIVISOR,
     ReductionOrder,
     deg_t,
-    height,
     nilpotency_order,
-    weighted_degree,
     zerodivisor_order,
 )
 from .rewrite import (
@@ -29,10 +27,8 @@ from .rewrite import (
     Presentation,
     Rule,
     concat,
-    equal_in_algebra,
     format_polynomial,
     normalize,
-    parse_polynomial,
 )
 from .groebner import (
     Ambiguity,
@@ -40,7 +36,6 @@ from .groebner import (
     audit_order,
     audit_orientation,
     find_ambiguities,
-    resolve_ambiguity,
 )
 from .turing import (
     Move,
@@ -52,8 +47,6 @@ from .turing import (
     minsky_utm,
     parse_config,
     parse_tm_spec,
-    tiny_halting_machine,
-    tiny_looping_machine,
     tm_run,
     tm_step,
 )
@@ -71,7 +64,6 @@ from .harness import (
     LockstepReport,
     annihilate_bounded,
     cancellation_probe,
-    htilde,
     lockstep,
     nilpotent_bounded,
     zerodivisor_witness_bounded,

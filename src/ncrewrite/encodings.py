@@ -124,10 +124,10 @@ def encode_config(c: TMConfig, construction: str) -> Word:
     """Configuration word: edge marker, left tape, Q_i P_j, right tape, R."""
     return (
         _left_edge(construction),
-        *(cell(k) for k in c.left),
+        *map(cell, c.left),
         state_mark(c.state),
         color_mark(c.current),
-        *(cell(k) for k in c.right),
+        *map(cell, c.right),
         "R",
     )
 

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .orders import ReductionOrder
-from .rewrite import Presentation, _apply, normalize
+from .rewrite import Presentation
 from .words import Word
 
 OVERLAP = "overlap"
@@ -75,15 +75,6 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
         for pos, r2 in hits:
             out.append(Ambiguity(INCLUSION, r1, r2, witness=lhs1, offset1=0, offset2=pos))
     return out
-
-
-def resolve_ambiguity(a: Ambiguity, p: Presentation) -> bool:
-    """True iff both one-step reductions of the witness share a normal form."""
-    x = _apply(a.witness, p, (a.offset1, a.rule1))
-    y = _apply(a.witness, p, (a.offset2, a.rule2))
-    nx, _ = normalize(x, p)
-    ny, _ = normalize(y, p)
-    return nx == ny
 
 
 @dataclass

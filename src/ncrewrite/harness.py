@@ -15,7 +15,7 @@ from .encodings import encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
 from .rewrite import Polynomial, Presentation, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
-from .words import Word, letter_kind, psi_alphabet
+from .words import Word, psi_alphabet
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ class DecisionOutcome:
         return cls(False, bound)
 
 
-def htilde(w: Word) -> int:
-    """Count of t letters plus count of s letters."""
-    for letter in w:
-        letter_kind(letter)  # validates token shape
-    return w.count("t") + w.count("s")
-
-
 def _presentation(spec: TMSpec, construction: str, presentation: Presentation | None) -> Presentation:
     """`presentation`, or the one compiled for `construction`; the other
     construction's rules do not simulate the machine on these words."""
@@ -83,7 +76,9 @@ def lockstep(
 
     At each non-halting step, t * encode(c) must normalize to the
     encoding of the successor followed by t (nilpotency) or s
-    (zero-divisor); at a halt pair it must normalize to zero.
+    (zero-divisor), or to zero when the successor sits on a halt pair; at
+    a halt pair it must normalize to zero.  The expected value comes from
+    the machine alone, never from the rules under test.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -93,11 +88,9 @@ def lockstep(
     records: list[StepRecord] = []
     divergence: Optional[int] = None
     halted = False
-    c = c0
+    c, w, nxt = c0, encode_config(c0, construction), tm_step(spec, c0)
     for n in range(steps):
-        w = encode_config(c, construction)
         actual, _ = normalize(Polynomial.from_word(("t",) + w), p)
-        nxt = tm_step(spec, c)
         if nxt is None:
             halted = True
             matched = actual.is_zero()
@@ -105,13 +98,16 @@ def lockstep(
             if not matched:
                 divergence = n
             break
-        expected, _ = normalize(Polynomial.from_word(encode_config(nxt, construction) + tail), p)
+        after = tm_step(spec, nxt)
+        w_next = encode_config(nxt, construction)
+        # a halt pair Q_i P_j is the only redex the successor's word can hold
+        expected = Polynomial.zero() if after is None else Polynomial.from_word(w_next + tail)
         matched = actual == expected
         records.append(StepRecord(c, w, actual, expected, matched))
         if not matched:
             divergence = n
             break
-        c = nxt
+        c, w, nxt = nxt, w_next, after
     return LockstepReport(construction, tuple(records), divergence, halted)
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from .words import AlphabetError, Word, letter_kind, phi_alphabet, psi_alphabet
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 NILPOTENCY = "nilpotency"
 ZERO_DIVISOR = "zerodivisor"
 DEGLEX = "deglex"
@@ -42,25 +40,6 @@ def _height(w: Word) -> int:
 
 def _weighted_degree(w: Word) -> int:
     return len(w) + w.count("t")
-
-
-def height(w: Word) -> int:
-    """Height of a word over the nilpotency alphabet.
-
-    Splitting w as X_0 t X_1 t ... t X_n with t-free blocks X_i, the
-    height is sum 2^i * |X_i|.
-    """
-    for letter in w:
-        if letter_kind(letter) in _NILP_FORBIDDEN:
-            raise AlphabetError(f"letter {letter!r} not allowed here")
-    return _height(w)
-
-
-def weighted_degree(w: Word) -> int:
-    """Degree with weight 2 for t and 1 for every other letter."""
-    for letter in w:
-        letter_kind(letter)  # validates token shape
-    return _weighted_degree(w)
 
 
 class ReductionOrder:
@@ -97,16 +76,8 @@ class ReductionOrder:
             return (_weighted_degree(w), lex)
         return (len(w), lex)
 
-    def compare(self, w1: Word, w2: Word) -> int:
-        k1, k2 = self.sort_key(w1), self.sort_key(w2)
-        if k1 < k2:
-            return LESS
-        if k1 > k2:
-            return GREATER
-        return EQUAL
-
     def greater(self, w1: Word, w2: Word) -> bool:
-        return self.compare(w1, w2) == GREATER
+        return self.sort_key(w1) > self.sort_key(w2)
 
     def __repr__(self):
         return f"ReductionOrder({self.kind!r}, {len(self.precedence)} letters)"

@@ -3,10 +3,10 @@
 All rules here are monic monomial -> monomial (or zero), so rewriting a
 word either yields another word or kills the term: normalization works on
 words.  ``Polynomial`` (a formal rational combination of words) is a thin
-wrapper around a dict from word to coefficient, kept for subtraction-based
-equality tests, polynomial text and the products the bounded deciders
-build; ``normalize`` runs the word normalizer on each of its terms and
-adds up the coefficients of equal normal forms.
+wrapper around a dict from word to coefficient, kept for polynomial text
+and the products the bounded deciders build; ``normalize`` runs the word
+normalizer on each of its terms and adds up the coefficients of equal
+normal forms.
 
 Normalization reads a word once through a deterministic Aho-Corasick
 automaton over all rule left-hand sides, one lookup per letter.  The
@@ -41,7 +41,7 @@ from itertools import takewhile
 from typing import Mapping, Optional
 
 from .orders import ReductionOrder
-from .words import Word, check_alphabet, parse_word, word_to_str
+from .words import Word, check_alphabet, word_to_str
 
 DEFAULT_BUDGET = 10**6
 
@@ -117,12 +117,6 @@ class Polynomial:
                 out.pop(w, None)
         return Polynomial._of(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)!r})"
 
@@ -150,17 +144,6 @@ def format_polynomial(x: Polynomial) -> str:
     for w in sorted(x._terms):
         parts.append(f"{x._terms[w]} * {word_to_str(w)}")
     return sys.intern(" + ".join(parts))
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero()
-    out = Polynomial.zero()
-    for part in text.split("+"):
-        coeff_text, _, word_text = part.partition("*")
-        out = out + Polynomial.from_word(parse_word(word_text), Fraction(coeff_text.strip()))
-    return out
 
 
 class Matcher:
@@ -305,14 +288,6 @@ class BudgetExhausted(RuntimeError):
         self.remaining_redexes = remaining_redexes
 
 
-def _apply(w: Word, p: Presentation, hit: tuple[int, int]) -> Polynomial:
-    pos, rid = hit
-    rule = p.rules[rid]
-    if rule.rhs is None:
-        return Polynomial.zero()
-    return Polynomial.from_word(w[:pos] + rule.rhs + w[pos + len(rule.lhs):])
-
-
 def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Word], int]:
     """Normal form of a single word (None when it reduces to zero).
 
@@ -413,8 +388,3 @@ def normalize(
         else:
             del out[nf]
     return Polynomial._of(out), total
-
-
-def equal_in_algebra(x: Polynomial, y: Polynomial, p: Presentation) -> bool:
-    nf, _ = normalize(x - y, p)
-    return nf.is_zero()

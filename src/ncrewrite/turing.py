@@ -2,8 +2,7 @@
 
 A configuration keeps the colored tape as two finite sequences flanking
 the current cell; moving off either end pads with color 0.  Includes the
-Minsky 7-state 4-color universal machine and two tiny fixture machines
-used by tests and experiments.
+Minsky 7-state 4-color universal machine.
 """
 
 from __future__ import annotations
@@ -96,28 +95,6 @@ def minsky_utm() -> TMSpec:
     table: dict = {(i, j): Move(d, q, p) for i, j, d, q, p in rows}
     table[(4, 3)] = STOP
     return TMSpec(states=7, colors=4, table=table)
-
-
-def tiny_halting_machine() -> TMSpec:
-    """2-state 2-color machine with one halt pair; small enough for brute force."""
-    table = {
-        (0, 0): Move("R", 0, 0),
-        (0, 1): Move("L", 1, 1),
-        (1, 0): Move("L", 1, 0),
-        (1, 1): STOP,
-    }
-    return TMSpec(states=2, colors=2, table=table)
-
-
-def tiny_looping_machine() -> TMSpec:
-    """2-state 2-color machine with no halt pair at all; never stops."""
-    table = {
-        (0, 0): Move("R", 1, 0),
-        (0, 1): Move("R", 1, 1),
-        (1, 0): Move("R", 0, 0),
-        (1, 1): Move("R", 0, 1),
-    }
-    return TMSpec(states=2, colors=2, table=table)
 
 
 def tm_step(spec: TMSpec, c: TMConfig) -> Optional[TMConfig]:

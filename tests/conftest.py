@@ -1,12 +1,7 @@
 import pytest
 
-from ncrewrite import (
-    minsky_utm,
-    nilpotency_presentation,
-    tiny_halting_machine,
-    tiny_looping_machine,
-    zerodivisor_presentation,
-)
+from ncrewrite import minsky_utm, nilpotency_presentation, zerodivisor_presentation
+from oracles import tiny_halting_machine, tiny_looping_machine
 
 
 @pytest.fixture(scope="session")

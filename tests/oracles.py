@@ -1,12 +1,52 @@
-"""Reduction oracles that share no code with the library's normalizer.
+"""Reference implementations and fixtures that only the tests use.
 
-They read the raw rule list and find redexes by plain slicing, without
-the Aho-Corasick automaton, so agreement with ``normalize`` is evidence
-from a second, independent path.  ``config_word`` draws the words that
-reach the long left-hand sides of the compute rules.
+The reduction oracles share no code with the library's normalizer: they
+read the raw rule list and find redexes by plain slicing, without the
+Aho-Corasick automaton, so agreement with ``normalize`` is evidence from a
+second, independent path.  ``config_word`` draws the words that reach the
+long left-hand sides of the compute rules.  ``resolve_ambiguity`` is the
+diamond-lemma check on one ambiguity, ``htilde`` the invariant the
+zero-divisor rules conserve, and the two tiny machines are small enough
+for brute force.
 """
 
-from ncrewrite import NILPOTENCY, Polynomial, TMConfig, encode_config
+from ncrewrite import NILPOTENCY, Move, Polynomial, TMConfig, TMSpec, encode_config
+from ncrewrite.turing import STOP
+from ncrewrite.words import letter_kind
+
+
+def tiny_halting_machine():
+    """2-state 2-color machine with one halt pair; small enough for brute force."""
+    return TMSpec(2, 2, {
+        (0, 0): Move("R", 0, 0),
+        (0, 1): Move("L", 1, 1),
+        (1, 0): Move("L", 1, 0),
+        (1, 1): STOP,
+    })
+
+
+def tiny_looping_machine():
+    """2-state 2-color machine with no halt pair at all; never stops."""
+    return TMSpec(2, 2, {
+        (0, 0): Move("R", 1, 0),
+        (0, 1): Move("R", 1, 1),
+        (1, 0): Move("R", 0, 0),
+        (1, 1): Move("R", 0, 1),
+    })
+
+
+def htilde(w):
+    """Count of t letters plus count of s letters."""
+    for letter in w:
+        letter_kind(letter)  # validates token shape
+    return w.count("t") + w.count("s")
+
+
+def rewrite_at(w, pos, rule):
+    """w with rule's lhs at pos replaced by its rhs; None when the rule kills w."""
+    if rule.rhs is None:
+        return None
+    return w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
 
 
 def config_word(rng, construction, cells=6):
@@ -46,10 +86,9 @@ class RightmostOracle:
     def normal_form(self, w):
         """Normal form of w as a polynomial, comparable with ``normalize``."""
         while (hit := self.redex(w)) is not None:
-            pos, rule = hit
-            if rule.rhs is None:
+            w = rewrite_at(w, *hit)
+            if w is None:
                 return Polynomial.zero()
-            w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
         return Polynomial.from_word(w)
 
 
@@ -83,11 +122,10 @@ class LeftmostOracle:
         """
         steps = 0
         while steps != max_steps and (hit := self.redex(w)) is not None:
-            pos, rule = hit
             steps += 1
-            if rule.rhs is None:
+            w = rewrite_at(w, *hit)
+            if w is None:
                 return Polynomial.zero(), steps
-            w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
         return Polynomial.from_word(w), steps
 
 
@@ -99,8 +137,20 @@ def one_step_rewrites(w, rules):
         span = len(rule.lhs)
         for pos in range(len(w) - span + 1):
             if w[pos:pos + span] == rule.lhs:
-                if rule.rhs is None:
+                out = rewrite_at(w, pos, rule)
+                if out is None:
                     zero = True
                 else:
-                    outs.add(w[:pos] + rule.rhs + w[pos + span:])
+                    outs.add(out)
     return zero, outs
+
+
+def resolve_ambiguity(a, p):
+    """True iff both one-step reductions of the ambiguity's witness reach
+    the same normal form (Bergman's diamond lemma, for one ambiguity)."""
+    oracle = LeftmostOracle(p.rules)
+    forms = []
+    for pos, rid in ((a.offset1, a.rule1), (a.offset2, a.rule2)):
+        w = rewrite_at(a.witness, pos, p.rules[rid])
+        forms.append(Polynomial.zero() if w is None else oracle.normalize(w)[0])
+    return forms[0] == forms[1]

@@ -13,7 +13,6 @@ from ncrewrite import (
     cancellation_probe,
     encode_config,
     find_ambiguities,
-    htilde,
     lockstep,
     nilpotent_bounded,
     nilpotency_order,
@@ -28,7 +27,7 @@ from ncrewrite import (
 )
 from ncrewrite.groebner import audit_order, audit_orientation
 from ncrewrite.orders import deg_t
-from oracles import LeftmostOracle, RightmostOracle, config_word, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, config_word, htilde, one_step_rewrites
 
 
 def report(num, label):

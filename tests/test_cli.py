@@ -1,8 +1,12 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from ncrewrite import format_config, format_presentation, format_tm_spec, TMConfig
 from ncrewrite.cli import main
-from ncrewrite.turing import tiny_looping_machine
+from oracles import tiny_looping_machine
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +252,26 @@ def test_repeated_presentation_header_is_usage_error(line, tmp_path, capsys):
     path.write_text(f"alphabet: a0 a1\norder: deglex\n{line}\nrule: a0 a1 -> a1 a0\n")
     rc = main(["overlaps", "--presentation", str(path)])
     assert_usage_error(rc, capsys.readouterr(), "bad line", repr(line))
+
+
+def readme_cli_lines():
+    """The command lines of the README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in readme_cli_lines():
+        argv = shlex.split(line)
+        if argv[0] == "printf":  # printf 'FORMAT' > FILE
+            assert argv[2] == ">", line
+            Path(argv[3]).write_text(argv[1].replace("\\n", "\n"))
+            continue
+        assert argv[0] == "ncrewrite", line
+        assert main(argv[1:]) == 0, (line, capsys.readouterr())
+        ran += 1
+    assert ran >= 11

@@ -12,12 +12,12 @@ from ncrewrite import (
     audit_orientation,
     find_ambiguities,
     nilpotency_order,
-    resolve_ambiguity,
     zerodivisor_order,
 )
 from ncrewrite.encodings import nilpotency_presentation, zerodivisor_presentation
 from ncrewrite.groebner import INCLUSION, OVERLAP, Ambiguity, OrderAuditReport
 from ncrewrite.orders import DEGLEX, ReductionOrder
+from oracles import resolve_ambiguity
 
 
 def as_tuple(a):

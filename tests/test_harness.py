@@ -15,7 +15,6 @@ from ncrewrite import (
     cancellation_probe,
     decode_structure,
     encode_config,
-    htilde,
     lockstep,
     nilpotent_bounded,
     normalize,
@@ -26,6 +25,7 @@ from ncrewrite import (
 )
 from ncrewrite import harness
 from ncrewrite.orders import DEGLEX, ReductionOrder
+from oracles import htilde
 
 
 class TestHtilde:
@@ -45,6 +45,9 @@ class TestLockstep:
         assert report.ok
         assert report.halted
         assert report.records[-1].actual.is_zero()
+        # (2,3) -> (L,4,1) lands on the halt pair (4,3): its word is zero
+        assert report.records[0].expected.is_zero()
+        assert report.records[1].expected is None
 
     def test_zd_single_step(self, minsky, p_zd):
         report = lockstep(minsky, TMConfig((), 0, 2, ()), 1, ZERO_DIVISOR, presentation=p_zd)
@@ -61,6 +64,37 @@ class TestLockstep:
     def test_long_run_no_divergence(self, minsky, p_nilp):
         report = lockstep(minsky, TMConfig((), 2, 0, ()), 30, NILPOTENCY, presentation=p_nilp)
         assert report.ok and not report.halted and len(report.records) == 30
+
+    RUNNING = TMConfig((1,), 2, 0, (1, 2))
+
+    @pytest.mark.parametrize("construction,mover", [(NILPOTENCY, "t"), (ZERO_DIVISOR, "s")])
+    def test_broken_rules_diverge(self, minsky, p_nilp, p_zd, construction, mover):
+        # R t -> 0 (R s -> 0) kills every step's word, the expected side too
+        # if it were normalized with the rules under test
+        p = p_nilp if construction == NILPOTENCY else p_zd
+        broken = Presentation(p.alphabet, p.rules + (Rule(("R", mover), None),), p.order, p.construction)
+        report = lockstep(minsky, self.RUNNING, 5, construction, presentation=broken)
+        assert report.divergence == 0
+        rec = report.records[0]
+        assert rec.actual.is_zero() and not rec.expected.is_zero() and not rec.matched
+
+    def test_one_normalize_and_encode_per_step(self, minsky, p_nilp, monkeypatch):
+        normalized, encoded = [], []
+
+        def counting_normalize(x, p, *args):
+            normalized.append(x)
+            return normalize(x, p, *args)
+
+        def counting_encode(c, construction):
+            encoded.append(c)
+            return encode_config(c, construction)
+
+        monkeypatch.setattr(harness, "normalize", counting_normalize)
+        monkeypatch.setattr(harness, "encode_config", counting_encode)
+        assert not tm_run(minsky, self.RUNNING, 5).halted
+        report = lockstep(minsky, self.RUNNING, 5, NILPOTENCY, presentation=p_nilp)
+        assert report.ok and len(report.records) == 5
+        assert len(normalized) == 5 and len(encoded) == 6
 
 
 class TestDeciders:

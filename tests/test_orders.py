@@ -6,15 +6,32 @@ from hypothesis import strategies as st
 
 from ncrewrite import (
     AlphabetError,
-    height,
     nilpotency_order,
     parse_presentation,
     parse_word,
-    weighted_degree,
     zerodivisor_order,
 )
-from ncrewrite.orders import DEGLEX, EQUAL, GREATER, LESS, NILPOTENCY, ReductionOrder, deg_t
+from ncrewrite.orders import DEGLEX, NILPOTENCY, ReductionOrder, deg_t
 from ncrewrite.words import psi_alphabet
+
+key_nilp = nilpotency_order().sort_key
+key_zd = zerodivisor_order().sort_key
+
+
+def height(w):
+    """The height component of the nilpotency key."""
+    return key_nilp(w)[1]
+
+
+def weighted_degree(w):
+    """The weighted-degree component of the zero-divisor key."""
+    return key_zd(w)[0]
+
+
+def sign(order, w1, w2):
+    """-1, 0 or 1 as w1 precedes, equals or follows w2 in the order."""
+    k1, k2 = order.sort_key(w1), order.sort_key(w2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def brute_height(w):
@@ -36,10 +53,12 @@ class TestHeight:
         assert height(parse_word(text)) == expected
 
     def test_rejects_psi_letters(self):
-        with pytest.raises(AlphabetError):
-            height(("s",))
-        with pytest.raises(AlphabetError):
-            height(("L",))
+        # over an alphabet that has them, the nilpotency key still refuses s and L
+        order = ReductionOrder(NILPOTENCY, psi_alphabet())
+        with pytest.raises(AlphabetError, match="'s' not allowed"):
+            order.sort_key(("s",))
+        with pytest.raises(AlphabetError, match="'L' not allowed"):
+            order.sort_key(("L",))
 
     @given(st.lists(st.sampled_from(["t", "a0", "a1", "Q2", "P3", "R"]), max_size=10))
     def test_matches_brute_force(self, letters):
@@ -64,37 +83,35 @@ class TestWeightedDegree:
         assert weighted_degree(parse_word("t a0 Q1 P2")) == 5
 
 
-compare_nilp = nilpotency_order().compare
-compare_zd = zerodivisor_order().compare
-
-
 class TestCompareNilp:
     def test_height_tiebreak(self):
-        assert compare_nilp(parse_word("t R a1"), parse_word("R t a1")) == GREATER
+        assert key_nilp(parse_word("t R a1")) > key_nilp(parse_word("R t a1"))
 
     def test_reflexive(self):
         w = parse_word("t R a1 Q2 P3 R")
-        assert compare_nilp(w, w) == EQUAL
+        assert key_nilp(w) == key_nilp(parse_word("t R a1 Q2 P3 R"))
+        assert not nilpotency_order().greater(w, w)
 
     def test_deg_t_dominates_length(self):
-        assert compare_nilp(parse_word("t"), parse_word("R R R R R")) == GREATER
+        assert key_nilp(parse_word("t")) > key_nilp(parse_word("R R R R R"))
 
     def test_rejects_s(self):
         with pytest.raises(AlphabetError):
-            compare_nilp(("s",), ("t",))
+            key_nilp(("s",))
 
 
 class TestCompareZd:
     def test_lex_tiebreak(self):
-        assert compare_zd(parse_word("t L a2"), parse_word("L t a2")) == GREATER
+        assert key_zd(parse_word("t L a2")) > key_zd(parse_word("L t a2"))
 
     def test_reflexive(self):
         w = parse_word("t L Q0 P2 R s")
-        assert compare_zd(w, w) == EQUAL
+        assert key_zd(w) == key_zd(parse_word("t L Q0 P2 R s"))
+        assert not zerodivisor_order().greater(w, w)
 
     def test_weight_dominates(self):
         # td3 lhs vs rhs: weights 5 vs 4
-        assert compare_zd(parse_word("t a0 Q0 P0"), parse_word("Q0 P0 a0 s")) == GREATER
+        assert key_zd(parse_word("t a0 Q0 P0")) > key_zd(parse_word("Q0 P0 a0 s"))
 
 
 @pytest.mark.parametrize("order,letters", [
@@ -107,15 +124,13 @@ def test_totality_and_minimality_small(order, letters):
         words.extend(itertools.product(letters, repeat=n))
     for w1 in words:
         for w2 in words:
-            c = order.compare(w1, w2)
-            if w1 == w2:
-                assert c == EQUAL
-            else:
-                assert c in (LESS, GREATER)
-                assert order.compare(w2, w1) == -c
+            c = sign(order, w1, w2)
+            assert (c == 0) == (w1 == w2)
+            assert sign(order, w2, w1) == -c
+            assert order.greater(w1, w2) == (c == 1)
     for w in words:
         if w:
-            assert order.compare((), w) == LESS
+            assert sign(order, (), w) == -1
 
 
 @given(
@@ -126,9 +141,9 @@ def test_totality_and_minimality_small(order, letters):
 def test_zd_compatibility_random(l1, l2, x):
     order = zerodivisor_order()
     w1, w2 = tuple(l1), tuple(l2)
-    c = order.compare(w1, w2)
-    assert order.compare((x,) + w1, (x,) + w2) == c
-    assert order.compare(w1 + (x,), w2 + (x,)) == c
+    c = sign(order, w1, w2)
+    assert sign(order, (x,) + w1, (x,) + w2) == c
+    assert sign(order, w1 + (x,), w2 + (x,)) == c
 
 
 @given(
@@ -139,22 +154,21 @@ def test_zd_compatibility_random(l1, l2, x):
 def test_nilp_compatibility_random(l1, l2, x):
     order = nilpotency_order()
     w1, w2 = tuple(l1), tuple(l2)
-    c = order.compare(w1, w2)
-    assert order.compare((x,) + w1, (x,) + w2) == c
-    assert order.compare(w1 + (x,), w2 + (x,)) == c
+    c = sign(order, w1, w2)
+    assert sign(order, (x,) + w1, (x,) + w2) == c
+    assert sign(order, w1 + (x,), w2 + (x,)) == c
 
 
 class TestSortKey:
     @given(st.lists(st.sampled_from(["t", "a0", "a3", "Q6", "P1", "R"]), max_size=10))
     def test_nilp_key_matches_public_measures(self, letters):
-        order, w = nilpotency_order(), tuple(letters)
-        key = order.sort_key(w)
-        assert key[:3] == (deg_t(w), height(w), len(w))
+        w = tuple(letters)
+        assert key_nilp(w)[:3] == (deg_t(w), brute_height(w), len(w))
 
     @given(st.lists(st.sampled_from(["t", "s", "a2", "Q0", "P3", "L", "R"]), max_size=10))
     def test_zd_key_matches_weighted_degree(self, letters):
         w = tuple(letters)
-        assert zerodivisor_order().sort_key(w)[0] == weighted_degree(w)
+        assert key_zd(w)[0] == len(w) + w.count("t")
 
     def test_nilp_key_rejects_psi_letters_in_precedence(self):
         order = ReductionOrder(NILPOTENCY, psi_alphabet())
