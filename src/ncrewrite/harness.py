@@ -13,9 +13,9 @@ from typing import Optional
 
 from .encodings import encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
-from .rewrite import Polynomial, Presentation, concat, normalize
+from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, _normal_powers, _reduce_word, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
-from .words import Word, psi_alphabet
+from .words import Word, check_alphabet, psi_alphabet
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,23 @@ def annihilate_bounded(
     construction: str = NILPOTENCY,
     presentation: Presentation | None = None,
 ) -> DecisionOutcome:
-    """Smallest N <= nmax with t^N * encode(c0) normalizing to zero."""
+    """Smallest N <= nmax with t^N * encode(c0) normalizing to zero.
+
+    Each power multiplies the previous normal form w by t, so the reduction
+    of t w may stop reading once it is inside w (see ``_reduce_word``).
+    """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     c0.validate(spec)
     p = _presentation(spec, construction, presentation)
-    t = Polynomial.from_word(("t",))
     x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p)
+    if x.is_zero():
+        return DecisionOutcome.found(1)
+    (w,) = x.terms
+    check_alphabet(("t",), p.letters)
     for n in range(1, nmax + 1):
-        x, _ = normalize(concat(t, x), p)
-        if x.is_zero():
+        w, _ = _reduce_word(("t",) + w, p, DEFAULT_BUDGET, len(w))
+        if w is None:
             return DecisionOutcome.found(n)
     return DecisionOutcome.unknown(nmax)
 
@@ -179,6 +186,9 @@ def _random_word(rng: random.Random, alphabet: tuple[str, ...], max_len: int) ->
     return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
 
 
+_DRAWS_PER_SAMPLE = 100  # draws allowed per sample wanted, before giving up
+
+
 def cancellation_probe(
     samples: int,
     max_len: int,
@@ -192,7 +202,13 @@ def cancellation_probe(
     checks that X t^n and s^n X stay nonzero for n in 1..3.  Returns the
     violations found (expected empty).  ``presentation`` defaults to the
     zero-divisor presentation of Minsky's machine.  The machine shape of
-    the configuration words is read off its Q<i> and a<k> letters.
+    the configuration words is read off its Q<i> and a<k> letters.  Raises
+    ValueError when fewer than ``samples`` of ``_DRAWS_PER_SAMPLE`` times
+    that many draws have a nonzero normal form.
+
+    When X is normal, X t^n stays normal up to the first n at which a
+    pattern ends in the t letters (``_normal_powers``), and the reduction
+    of s^n X may stop reading once it is inside X.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -206,20 +222,25 @@ def cancellation_probe(
     structured = states and colors and p.letters.issuperset(psi_alphabet(states, colors))
     violations: list[tuple[Word, str, int]] = []
     produced = 0
-    while produced < samples:
+    draws = _DRAWS_PER_SAMPLE * samples
+    for _ in range(draws):
         if structured and rng.random() < 0.5:
             x = _random_structured_word(rng, states, colors, max_len)
         else:
             x = _random_word(rng, p.alphabet, max_len)
-        nf, _ = normalize(Polynomial.from_word(x), p)
+        nf, steps = normalize(Polynomial.from_word(x), p)
         if nf.is_zero():
             continue
+        if not produced:
+            check_alphabet(("t", "s"), p.letters)
         produced += 1
+        normal = len(x) if steps == 0 else 0  # x is normal iff no step was made
+        right_normal = _normal_powers(x, p, "t", 3) if steps == 0 else 0
         for n in (1, 2, 3):
-            right, _ = normalize(Polynomial.from_word(x + ("t",) * n), p)
-            if right.is_zero():
+            if n > right_normal and _reduce_word(x + ("t",) * n, p, DEFAULT_BUDGET)[0] is None:
                 violations.append((x, "right-t", n))
-            left, _ = normalize(Polynomial.from_word(("s",) * n + x), p)
-            if left.is_zero():
+            if _reduce_word(("s",) * n + x, p, DEFAULT_BUDGET, normal)[0] is None:
                 violations.append((x, "left-s", n))
-    return violations
+        if produced == samples:
+            return violations
+    raise ValueError(f"only {produced} of {draws} sampled words have a nonzero normal form, {samples} wanted")

@@ -28,6 +28,22 @@ Minsky's machine at 100 / 800 / 6400 letters costs about 49 / 206 / 1350 µs
 13980 and 257 / 2050 / 10280 µs with one rule per crossing, and 2-3 / 4-5 /
 19-24 µs for ``tm_step`` (best of 10, 2-vCPU shared host, Python 3.11.7).
 What is left is mostly the entry ``Matcher.redexes`` scan.
+
+Normal tails.  The bounded deciders multiply a word the engine has just
+normalized by one letter, so ``_reduce_word``, the reduction loop behind
+``normalize``'s entry scan, takes the length of a tail of its word that the
+caller knows is normal.  Once the automaton has read, from that tail, at
+least as many letters as the depth of its state (``horizon`` bounds the
+depth) with no redex pending, no pattern can end in the rest of the tail
+(Aho & Corasick, CACM 1975), and the loop returns it unread.  No step is
+skipped, so normal forms, step counts and ``BudgetExhausted`` stay as a
+full read gives them, for any rule set.  ``annihilate_bounded`` and
+``cancellation_probe`` call the loop directly, which skips ``normalize``'s
+``Polynomial`` wrapper, alphabet check and entry scan as well; in a traced
+benchmark run, the rewriting they do shows as their own time.  ``lockstep``
+and ``nilpotent_bounded`` still go through ``normalize`` and ``concat``, and
+every ``normalize`` call through the entry scan, because the benchmark's
+traced mode requires calls on those spans.
 """
 
 from __future__ import annotations
@@ -289,24 +305,37 @@ class BudgetExhausted(RuntimeError):
 
 
 def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Word], int]:
-    """Normal form of a single word (None when it reduces to zero).
-
-    Rewrites the leftmost redex each time, the lowest rule id among those
-    at the same position; by confluence any other choice reaches the same
-    normal form, and this one fixes the step count.
-    """
-    matcher = p.matcher
+    """Normal form of a single word (None when it reduces to zero)."""
     # Entry scan: a word without a redex comes back after it unchanged.  It
     # also keeps Matcher.redexes on the path of every call, which the
     # benchmark's traced mode requires until it names its layers by what
     # they do rather than by implementation spans.
-    if not matcher.redexes(w):
+    if not p.matcher.redexes(w):
         return w, 0
+    return _reduce_word(w, p, budget)
+
+
+def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tuple[Optional[Word], int]:
+    """Normal form of w and the rewrite steps used, as ``_normalize_word``;
+    the caller vouches that the last ``normal`` letters of w hold no redex.
+
+    Rewrites the leftmost redex each time, the lowest rule id among those
+    at the same position; by confluence any other choice reaches the same
+    normal form, and this one fixes the step count.
+
+    The bottom ``mark`` letters of ``pending`` are unread letters of that
+    normal tail.  Once the last ``mark - len(pending)`` letters read all
+    came from it, at least ``horizon[s]`` of them, and no redex is pending,
+    every pattern the rest of the tail could complete would lie inside the
+    tail: the rest is read without a match, so it is returned unread.
+    """
+    matcher = p.matcher
     goto, out, horizon = matcher._goto, matcher._out, matcher._horizon
     rules, lhs_len, sweeps = p.rules, matcher.lengths, p.sweeps
     letters: list[str] = []  # the prefix read so far
     states = [0]  # states[k]: automaton state after letters[:k]
     pending = list(reversed(w))  # input still to read, next letter last
+    mark = normal  # lowered to len(pending) before anything is pushed on it
     steps = 0
     pos = -1  # best redex seen since the last rewrite, at (pos, rid); -1: none
     rid = 0
@@ -322,6 +351,8 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
                 if pos < 0 or q < pos or (q == pos and r < rid):
                     pos, rid = q, r
             if pos < 0:
+                if mark and mark - len(pending) >= horizon[s]:
+                    return tuple(letters + pending[::-1]), steps
                 continue
             # A pattern prefix still being read that starts before pos, or at
             # pos and can grow, may complete into a better redex: read on.
@@ -346,6 +377,7 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
                 m = k - (len(letters) - pos)  # crossed letters still pending
                 letters += run[:m]
                 del pending[len(pending) - m:]
+                mark = min(mark, len(pending))
                 pending.append(mover)
                 del states[pos + 1:]
                 states += [0] * k  # no pattern starts with a span letter
@@ -356,11 +388,26 @@ def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Wor
         rule = rules[rid]
         if rule.rhs is None:
             return None, steps
+        mark = min(mark, len(pending))
         pending.extend(reversed(letters[pos + lhs_len[rid]:]))
         pending.extend(reversed(rule.rhs))
         del letters[pos:]
         del states[pos + 1:]
         pos = -1
+
+
+def _normal_powers(w: Word, p: Presentation, letter: str, n: int) -> int:
+    """The largest k <= n with w + (letter,) * k normal, for a normal word w:
+    a redex of w + (letter,) * k ends in the letters appended."""
+    goto, out = p.matcher._goto, p.matcher._out
+    s = 0
+    for x in w:
+        s = goto[s].get(x, 0)
+    for k in range(n):
+        s = goto[s].get(letter, 0)
+        if out[s]:
+            return k
+    return n
 
 
 def normalize(

@@ -7,12 +7,18 @@ second, independent path.  ``config_word`` draws the words that reach the
 long left-hand sides of the compute rules.  ``resolve_ambiguity`` is the
 diamond-lemma check on one ambiguity, ``htilde`` the invariant the
 zero-divisor rules conserve, and the two tiny machines are small enough
-for brute force.
+for brute force.  ``annihilate_reference`` and ``cancellation_probe_reference``
+are the deciders' loops as they were before they ran on the word normalizer:
+each power or derived word goes through the public ``normalize``.
 """
 
-from ncrewrite import NILPOTENCY, Move, Polynomial, TMConfig, TMSpec, encode_config
-from ncrewrite.turing import STOP
-from ncrewrite.words import letter_kind
+import random
+
+from ncrewrite import NILPOTENCY, ZERO_DIVISOR, DecisionOutcome, Move, Polynomial, TMConfig, TMSpec, encode_config
+from ncrewrite.harness import _presentation, _random_structured_word, _random_word
+from ncrewrite.rewrite import concat, normalize
+from ncrewrite.turing import STOP, minsky_utm
+from ncrewrite.words import letter_kind, psi_alphabet
 
 
 def tiny_halting_machine():
@@ -154,3 +160,47 @@ def resolve_ambiguity(a, p):
         w = rewrite_at(a.witness, pos, p.rules[rid])
         forms.append(Polynomial.zero() if w is None else oracle.normalize(w)[0])
     return forms[0] == forms[1]
+
+
+def annihilate_reference(spec, c0, nmax, construction=NILPOTENCY, presentation=None):
+    """``annihilate_bounded``, one ``normalize(concat(t, x))`` per power."""
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    c0.validate(spec)
+    p = _presentation(spec, construction, presentation)
+    t = Polynomial.from_word(("t",))
+    x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p)
+    for n in range(1, nmax + 1):
+        x, _ = normalize(concat(t, x), p)
+        if x.is_zero():
+            return DecisionOutcome.found(n)
+    return DecisionOutcome.unknown(nmax)
+
+
+def cancellation_probe_reference(samples, max_len, seed=0, presentation=None):
+    """``cancellation_probe``, one ``normalize`` per derived word; it never
+    returns when too few sampled words have a nonzero normal form."""
+    rng = random.Random(seed)
+    p = _presentation(minsky_utm(), ZERO_DIVISOR, presentation)
+    states = sum(x.startswith("Q") for x in p.alphabet)
+    colors = sum(x.startswith("a") for x in p.alphabet)
+    structured = states and colors and p.letters.issuperset(psi_alphabet(states, colors))
+    violations = []
+    produced = 0
+    while produced < samples:
+        if structured and rng.random() < 0.5:
+            x = _random_structured_word(rng, states, colors, max_len)
+        else:
+            x = _random_word(rng, p.alphabet, max_len)
+        nf, _ = normalize(Polynomial.from_word(x), p)
+        if nf.is_zero():
+            continue
+        produced += 1
+        for n in (1, 2, 3):
+            right, _ = normalize(Polynomial.from_word(x + ("t",) * n), p)
+            if right.is_zero():
+                violations.append((x, "right-t", n))
+            left, _ = normalize(Polynomial.from_word(("s",) * n + x), p)
+            if left.is_zero():
+                violations.append((x, "left-s", n))
+    return violations

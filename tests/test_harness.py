@@ -25,7 +25,7 @@ from ncrewrite import (
 )
 from ncrewrite import harness
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from oracles import htilde
+from oracles import annihilate_reference, cancellation_probe_reference, htilde
 
 
 class TestHtilde:
@@ -247,6 +247,13 @@ class TestCancellationProbe:
         violations = cancellation_probe(30, 6, seed=1, presentation=p)
         assert violations and all(set(x) <= p.letters for x, _, _ in violations)
 
+    def test_every_word_zero(self):
+        # no sampled word has a nonzero normal form: an error, not a hang
+        letters = ("t", "s", "R")
+        p = Presentation(letters, tuple(Rule((x,), None) for x in letters), ReductionOrder(DEGLEX, letters))
+        with pytest.raises(ValueError, match="nonzero normal form"):
+            cancellation_probe(3, 4, presentation=p)
+
     def test_reports_violations(self, p_zd):
         # with R t -> 0 added, a word ending in R loses its right t
         q = Presentation(p_zd.alphabet, p_zd.rules + (Rule(("R", "t"), None),), p_zd.order, p_zd.construction)
@@ -256,6 +263,45 @@ class TestCancellationProbe:
             assert not normalize(Polynomial.from_word(x), q)[0].is_zero()
             w = x + ("t",) * n if kind == "right-t" else ("s",) * n + x
             assert normalize(Polynomial.from_word(w), q)[0].is_zero()
+
+
+class TestAgainstReference:
+    """The deciders on the word normalizer against their loops through the
+    public ``normalize``: the same violations in the same order, the same
+    outcomes."""
+
+    @pytest.mark.parametrize("machine", ["minsky", "tiny"])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_probe_violations(self, machine, broken, p_zd, tiny_halt):
+        p = p_zd if machine == "minsky" else zerodivisor_presentation(tiny_halt)
+        if broken:
+            p = Presentation(p.alphabet, p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
+        found = 0
+        for seed in range(3):
+            for max_len in (4, 12):
+                expected = cancellation_probe_reference(150, max_len, seed=seed, presentation=p)
+                assert cancellation_probe(150, max_len, seed=seed, presentation=p) == expected
+                found += len(expected)
+        assert bool(found) == broken
+
+    @pytest.mark.parametrize("construction", [NILPOTENCY, ZERO_DIVISOR])
+    def test_decider_outcomes(self, construction, minsky, p_nilp, p_zd):
+        p = p_nilp if construction == NILPOTENCY else p_zd
+        rng = random.Random(8)
+        configs = [TMConfig((), 4, 3, ()), TMConfig((3,), 2, 3, ()), TMConfig((), 2, 0, ())]
+        configs += [TMConfig(tuple(rng.randrange(4) for _ in range(rng.randint(0, 10))), rng.randrange(7),
+                             rng.randrange(4), tuple(rng.randrange(4) for _ in range(rng.randint(0, 10))))
+                    for _ in range(40)]
+        kinds = set()
+        for c in configs:
+            nmax = rng.randint(1, 25)
+            run = tm_run(minsky, c, nmax)
+            kinds.add("past nmax" if not run.halted else "at step 0" if run.steps == 0 else "within nmax")
+            expected = annihilate_reference(minsky, c, nmax, construction, presentation=p)
+            assert annihilate_bounded(minsky, c, nmax, construction, presentation=p) == expected, c
+            if construction == ZERO_DIVISOR:
+                assert zerodivisor_witness_bounded(minsky, c, nmax, presentation=p) == expected, c
+        assert kinds == {"at step 0", "within nmax", "past nmax"}
 
 
 class TestConservation:

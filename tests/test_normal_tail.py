@@ -1,0 +1,85 @@
+"""The reduction loop stops reading at a tail that its caller knows is normal.
+
+``_reduce_word(u + y, p, budget, len(y))`` with y normal must give exactly
+what reading the whole word gives: the normal form and the step count, or
+the ``BudgetExhausted`` partial word, steps and remaining redexes.
+"""
+
+import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ncrewrite import NILPOTENCY, ZERO_DIVISOR, BudgetExhausted, Polynomial, Presentation, Rule, normalize
+from ncrewrite.orders import DEGLEX, ReductionOrder
+from ncrewrite.rewrite import _reduce_word
+from oracles import config_word
+
+
+def full_read(w, p, budget):
+    try:
+        return normalize(Polynomial.from_word(w), p, budget)
+    except BudgetExhausted as exc:
+        return exc.partial, exc.steps, exc.remaining_redexes
+
+
+def tail_read(w, p, budget, normal):
+    try:
+        nf, steps = _reduce_word(w, p, budget, normal)
+    except BudgetExhausted as exc:
+        return exc.partial, exc.steps, exc.remaining_redexes
+    return (Polynomial.zero() if nf is None else Polynomial.from_word(nf)), steps
+
+
+def normal_word(w, p, budget=10**4):
+    """The normal form of w as a word; None when it is zero or not reached."""
+    try:
+        nf, _ = normalize(Polynomial.from_word(w), p, budget)
+    except BudgetExhausted:
+        return None
+    return next(iter(nf.terms), None)
+
+
+def assert_tail_agrees(u, y, p, budget):
+    w = u + y
+    assert tail_read(w, p, budget, len(y)) == full_read(w, p, budget), (u, y, budget)
+
+
+def test_configuration_words(p_nilp, p_zd):
+    rng = random.Random(31)
+    checked = 0
+    for construction, p in ((NILPOTENCY, p_nilp), (ZERO_DIVISOR, p_zd)):
+        for _ in range(150):
+            y = normal_word(config_word(rng, construction, cells=rng.choice((2, 6, 20))), p)
+            if y is None:
+                continue
+            # t^k, as the deciders multiply, or a few letters of anything
+            u = ("t",) * rng.randint(1, 3) if rng.random() < 0.5 else \
+                tuple(rng.choice(p.alphabet) for _ in range(rng.randint(0, 4)))
+            _, steps = normalize(Polynomial.from_word(u + y), p)
+            for budget in {steps, rng.randint(0, steps), 10**6}:
+                assert_tail_agrees(u, y, p, budget)
+                checked += 1
+    assert checked >= 400
+
+
+LETTERS = ("Q0", "a0", "a1", "R")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_synthetic_presentations(data):
+    word = st.lists(st.sampled_from(LETTERS), max_size=8).map(tuple)
+    rules = []
+    if data.draw(st.booleans()):
+        # Q0 moves right across a0 and a1: a sweep family unless a distractor breaks it
+        rules += [Rule(("Q0", x), (x, "Q0")) for x in ("a0", "a1")]
+    for lhs in data.draw(st.lists(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3).map(tuple),
+                                  min_size=1, max_size=5)):
+        # rhs shorter than lhs, so the rule set terminates
+        rhs = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(LETTERS), max_size=len(lhs) - 1).map(tuple)))
+        rules.append(Rule(lhs, rhs))
+    p = Presentation(LETTERS, tuple(rules), ReductionOrder(DEGLEX, LETTERS))
+    y = normal_word(data.draw(word), p)
+    assume(y is not None)
+    assert_tail_agrees(data.draw(word), y, p, data.draw(st.integers(0, 40)))
