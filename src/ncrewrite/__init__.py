@@ -16,7 +16,6 @@ from .orders import (
     NILPOTENCY,
     ZERO_DIVISOR,
     ReductionOrder,
-    deg_t,
     nilpotency_order,
     zerodivisor_order,
 )

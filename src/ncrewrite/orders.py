@@ -22,26 +22,6 @@ DEGLEX = "deglex"
 _NILP_FORBIDDEN = ("s", "L")
 
 
-def deg_t(w: Word) -> int:
-    return w.count("t")
-
-
-def _height(w: Word) -> int:
-    # each t doubles the weight of every letter to its right
-    total = 0
-    weight = 1
-    for letter in w:
-        if letter == "t":
-            weight *= 2
-        else:
-            total += weight
-    return total
-
-
-def _weighted_degree(w: Word) -> int:
-    return len(w) + w.count("t")
-
-
 class ReductionOrder:
     """A total order on words over a fixed alphabet, given by a sort key."""
 
@@ -58,22 +38,33 @@ class ReductionOrder:
         forbidden = _NILP_FORBIDDEN if kind == NILPOTENCY else ()
         self._forbidden = frozenset(x for x in self.precedence if letter_kind(x) in forbidden)
 
-    def _lex(self, w: Word) -> tuple[int, ...]:
+    def sort_key(self, w: Word):
+        """Key such that key(w1) < key(w2) iff w1 precedes w2.
+
+        Nilpotency: (t-degree, height, length, lex); zero-divisor: (length
+        plus t-degree, lex); deglex: (length, lex).  lex holds the negated
+        precedence ranks, so an earlier letter is the greater one.
+        """
         try:
-            return tuple(map(self._neg_rank.__getitem__, w))
+            lex = tuple(map(self._neg_rank.__getitem__, w))
         except KeyError as exc:
             raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet") from None
-
-    def sort_key(self, w: Word):
-        """Key such that key(w1) < key(w2) iff w1 precedes w2."""
-        lex = self._lex(w)
-        if self.kind == NILPOTENCY:
+        kind = self.kind
+        if kind == NILPOTENCY:
             if not self._forbidden.isdisjoint(w):
                 letter = next(x for x in w if x in self._forbidden)
                 raise AlphabetError(f"letter {letter!r} not allowed here")
-            return (deg_t(w), _height(w), len(w), lex)
-        if self.kind == ZERO_DIVISOR:
-            return (_weighted_degree(w), lex)
+            # each t doubles the weight of every letter to its right
+            height = 0
+            weight = 1
+            for letter in w:
+                if letter == "t":
+                    weight *= 2
+                else:
+                    height += weight
+            return (w.count("t"), height, len(w), lex)
+        if kind == ZERO_DIVISOR:
+            return (len(w) + w.count("t"), lex)
         return (len(w), lex)
 
     def greater(self, w1: Word, w2: Word) -> bool:

@@ -5,11 +5,12 @@ read the raw rule list and find redexes by plain slicing, without the
 Aho-Corasick automaton, so agreement with ``normalize`` is evidence from a
 second, independent path.  ``config_word`` draws the words that reach the
 long left-hand sides of the compute rules.  ``resolve_ambiguity`` is the
-diamond-lemma check on one ambiguity, ``htilde`` the invariant the
-zero-divisor rules conserve, and the two tiny machines are small enough
-for brute force.  ``annihilate_reference`` and ``cancellation_probe_reference``
-are the deciders' loops as they were before they ran on the word normalizer:
-each power or derived word goes through the public ``normalize``.
+diamond-lemma check on one ambiguity, ``deg_t`` and ``htilde`` the
+invariants the nilpotency and zero-divisor rules conserve, and the two tiny
+machines are small enough for brute force.  ``annihilate_reference`` and
+``cancellation_probe_reference`` are the deciders' loops as they were before
+they ran on the word normalizer: each power or derived word goes through the
+public ``normalize``.
 """
 
 import random
@@ -39,6 +40,11 @@ def tiny_looping_machine():
         (1, 0): Move("R", 0, 0),
         (1, 1): Move("R", 0, 1),
     })
+
+
+def deg_t(w):
+    """Count of t letters."""
+    return w.count("t")
 
 
 def htilde(w):

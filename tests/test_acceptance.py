@@ -26,8 +26,7 @@ from ncrewrite import (
     zerodivisor_witness_bounded,
 )
 from ncrewrite.groebner import audit_order, audit_orientation
-from ncrewrite.orders import deg_t
-from oracles import LeftmostOracle, RightmostOracle, config_word, htilde, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, config_word, deg_t, htilde, one_step_rewrites
 
 
 def report(num, label):

@@ -9,6 +9,7 @@ from ncrewrite import (
     AlphabetError,
     Move,
     Polynomial,
+    Rule,
     TMConfig,
     TMSpec,
     decode_structure,
@@ -209,3 +210,37 @@ class TestPresentationText:
     def test_rejects_letters_outside_alphabet(self, text, bad):
         with pytest.raises(AlphabetError, match=bad):
             parse_presentation(text)
+
+    HEADER = "alphabet: t a0 R\norder: deglex\n"
+
+    def test_rule_sides_and_tags(self):
+        q = parse_presentation(self.HEADER + (
+            "# a comment line\n"
+            "rule: t a0 -> eps\n"
+            "rule:  t R ->  0   #  tt1[i=0]  \n"
+            "rule: a0 a0 -> R # one # two\n"
+            "rule: R t->t R#\n"
+        ))
+        assert q.rules == (
+            Rule(("t", "a0"), ()),
+            Rule(("t", "R"), None, "tt1[i=0]"),
+            Rule(("a0", "a0"), ("R",), "one # two"),
+            Rule(("R", "t"), ("t", "R")),
+        )
+        assert (q.alphabet, q.order.kind, q.construction) == (("t", "a0", "R"), "deglex", "custom")
+
+    @pytest.mark.parametrize("rule,error,message", [
+        ("rule: eps -> R", ValueError, "rule lhs must be nonempty"),
+        ("rule:  -> R", ValueError, "rule lhs must be nonempty"),
+        ("rule: t R R", ValueError, "bad rule line: 'rule: t R R'"),
+        ("rule: 0 -> R", AlphabetError, "letter '0' outside alphabet in rule line: 'rule: 0 -> R'"),
+        ("rule: t R -> 0 R", AlphabetError, "letter '0' outside alphabet in rule line: 'rule: t R -> 0 R'"),
+        ("rule: t eps -> R", AlphabetError, "letter 'eps' outside alphabet in rule line: 'rule: t eps -> R'"),
+        ("  rule: t Q1 -> a1  # tag", AlphabetError, "letter 'Q1' outside alphabet in rule line: 'rule: t Q1 -> a1  # tag'"),
+        ("rule: t R -> a1 Q1", AlphabetError, "letter 'a1' outside alphabet in rule line: 'rule: t R -> a1 Q1'"),
+    ])
+    def test_rule_line_errors(self, rule, error, message):
+        with pytest.raises(error) as exc:
+            parse_presentation(self.HEADER + rule + "\n")
+        assert type(exc.value) is error
+        assert str(exc.value) == message

@@ -68,6 +68,32 @@ def lhs_lists(draw):
     return words
 
 
+@st.composite
+def headed_lhs_lists(draw):
+    """Lhs words that each start with a head letter and go on in tail letters
+    only, so no proper suffix of an lhs begins with a letter that begins one.
+    The head letters vary with the draw."""
+    heads = draw(st.sampled_from((("a0",), ("a0", "a1"), ("a3",))))
+    tails = [x for x in ("a0", "a1", "a2", "a3") if x not in heads]
+    word = st.builds(lambda head, tail: (head, *tail), st.sampled_from(heads),
+                     st.lists(st.sampled_from(tails), max_size=4))
+    return draw(st.lists(word, min_size=1, max_size=6))
+
+
+def documented_order(ambiguities, p):
+    """Overlaps by (rule1, offset, rule2), then inclusions by
+    (rule1, position, length of lhs(rule2), rule2)."""
+    overlaps = [a for a in ambiguities if a.kind == OVERLAP]
+    inclusions = [a for a in ambiguities if a.kind == INCLUSION]
+    return (sorted(overlaps, key=lambda a: (a.rule1, a.offset2, a.rule2))
+            + sorted(inclusions, key=lambda a: (a.rule1, a.offset2, len(p.rules[a.rule2].lhs), a.rule2)))
+
+
+def suffix_starts_an_lhs(lhss):
+    starts = {w[0] for w in lhss}
+    return any(x in starts for w in lhss for x in w[1:])
+
+
 class TestFindAmbiguities:
     def test_paper_presentations_clean(self, p_nilp, p_zd):
         assert find_ambiguities(p_nilp) == []
@@ -114,6 +140,41 @@ class TestFindAmbiguities:
     def test_agrees_with_naive_scan_as_multisets(self, lhss):
         p = synthetic([Rule(w, None) for w in lhss])
         assert sorted(map(as_tuple, find_ambiguities(p))) == sorted(map(as_tuple, naive_ambiguity_scan(p)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(lhs_lists(), headed_lhs_lists()))
+    def test_exact_list_in_documented_order(self, lhss):
+        # lhs_lists nearly always has a suffix starting an lhs, headed ones never
+        p = synthetic([Rule(w, None) for w in lhss])
+        assert find_ambiguities(p) == documented_order(naive_ambiguity_scan(p), p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(headed_lhs_lists())
+    def test_no_suffix_starts_an_lhs(self, lhss):
+        assert not suffix_starts_an_lhs(lhss)
+        p = synthetic([Rule(w, None) for w in lhss])
+        found = find_ambiguities(p)
+        assert all(a.kind == INCLUSION for a in found)
+        assert found == documented_order(naive_ambiguity_scan(p), p)
+
+    @pytest.mark.parametrize("lhss", [
+        [("a0", "a1"), ("a2", "a3")],  # none
+        [("a0", "a1"), ("a0", "a1")],  # equal lhs words
+        [("a0", "a1", "a2"), ("a0", "a1")],  # a proper prefix
+        [("a0", "a1", "a2"), ("a1", "a2")],  # a proper suffix
+        [("a3", "a0", "a1", "a2"), ("a0", "a1")],  # strictly inside
+        [("a0",), ("a1", "a2")],  # single letters are leaves too
+    ])
+    def test_inclusions_found_or_ruled_out(self, lhss):
+        p = synthetic([Rule(w, None) for w in lhss])
+        assert find_ambiguities(p) == documented_order(naive_ambiguity_scan(p), p)
+
+    @pytest.mark.parametrize("machine", ["tiny_halt", "tiny_loop"])
+    def test_tiny_machines_exact_order(self, machine, request):
+        spec = request.getfixturevalue(machine)
+        for p in (nilpotency_presentation(spec), zerodivisor_presentation(spec)):
+            found = find_ambiguities(p)
+            assert found == documented_order(naive_ambiguity_scan(p), p)
 
 
 class TestResolveAmbiguity:

@@ -25,7 +25,7 @@ from ncrewrite import (
 )
 from ncrewrite import harness
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from oracles import annihilate_reference, cancellation_probe_reference, htilde
+from oracles import annihilate_reference, cancellation_probe_reference, deg_t, htilde
 
 
 class TestHtilde:
@@ -307,8 +307,6 @@ class TestAgainstReference:
 class TestConservation:
     def test_deg_t_and_htilde_invariance(self, p_nilp, p_zd):
         rng = random.Random(13)
-        from ncrewrite.orders import deg_t
-
         for p, invariant in ((p_nilp, deg_t), (p_zd, htilde)):
             letters = list(p.alphabet)
             for _ in range(500):

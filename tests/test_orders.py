@@ -11,8 +11,9 @@ from ncrewrite import (
     parse_word,
     zerodivisor_order,
 )
-from ncrewrite.orders import DEGLEX, NILPOTENCY, ReductionOrder, deg_t
-from ncrewrite.words import psi_alphabet
+from ncrewrite.orders import DEGLEX, NILPOTENCY, ZERO_DIVISOR, ReductionOrder
+from ncrewrite.words import phi_alphabet, psi_alphabet
+from oracles import deg_t
 
 key_nilp = nilpotency_order().sort_key
 key_zd = zerodivisor_order().sort_key
@@ -159,7 +160,48 @@ def test_nilp_compatibility_random(l1, l2, x):
     assert sign(order, w1 + (x,), w2 + (x,)) == c
 
 
+def reference_key(order, w):
+    """The sort key composed from its measures, each computed on its own."""
+    lex = tuple(-order.precedence.index(x) for x in w)
+    if order.kind == NILPOTENCY:
+        return (deg_t(w), brute_height(w), len(w), lex)
+    if order.kind == ZERO_DIVISOR:
+        return (len(w) + deg_t(w), lex)
+    return (len(w), lex)
+
+
+ORDERS_AND_LETTERS = [
+    (nilpotency_order(), phi_alphabet()),
+    (zerodivisor_order(), psi_alphabet()),
+    (ReductionOrder(DEGLEX, psi_alphabet()), psi_alphabet()),
+    (ReductionOrder(DEGLEX, ("R", "a1", "t", "Q0")), ("R", "a1", "t", "Q0")),
+    # s and L are in the precedence but not allowed in a nilpotency word
+    (ReductionOrder(NILPOTENCY, psi_alphabet()), tuple(x for x in psi_alphabet() if x not in ("s", "L"))),
+]
+
+
 class TestSortKey:
+    @given(st.data())
+    def test_equals_composed_reference(self, data):
+        order, letters = data.draw(st.sampled_from(ORDERS_AND_LETTERS))
+        w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=12)))
+        assert order.sort_key(w) == reference_key(order, w)
+
+    @pytest.mark.parametrize("order,w,message", [
+        (nilpotency_order(), ("t", "a9"), "letter 'a9' outside alphabet"),
+        (nilpotency_order(), ("s",), "letter 's' outside alphabet"),
+        (zerodivisor_order(), ("R", "x1", "t"), "letter 'x1' outside alphabet"),
+        (ReductionOrder(DEGLEX, ("a0", "a1")), ("a0", "t"), "letter 't' outside alphabet"),
+        (ReductionOrder(NILPOTENCY, psi_alphabet()), ("t", "L", "s"), "letter 'L' not allowed here"),
+        (ReductionOrder(NILPOTENCY, psi_alphabet()), ("R", "s"), "letter 's' not allowed here"),
+        # a letter outside the alphabet is reported first, wherever it stands
+        (ReductionOrder(NILPOTENCY, psi_alphabet()), ("s", "L", "a9"), "letter 'a9' outside alphabet"),
+    ])
+    def test_error_messages(self, order, w, message):
+        with pytest.raises(AlphabetError) as exc:
+            order.sort_key(w)
+        assert str(exc.value) == message
+
     @given(st.lists(st.sampled_from(["t", "a0", "a3", "Q6", "P1", "R"]), max_size=10))
     def test_nilp_key_matches_public_measures(self, letters):
         w = tuple(letters)

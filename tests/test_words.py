@@ -6,7 +6,9 @@ from ncrewrite import (
     AlphabetError,
     TMConfig,
     encode_config,
+    format_presentation,
     make_presentation,
+    parse_presentation,
     parse_word,
     phi_alphabet,
     psi_alphabet,
@@ -62,7 +64,10 @@ def test_letters_are_shared(minsky):
             encode_config(TMConfig((0, 1, 2, 3), 6, 3, (3, 2, 1, 0)), construction),
             parse_word(" ".join(alphabet)),
         ]
-        for rule in make_presentation(minsky, construction).rules:
+        p = make_presentation(minsky, construction)
+        q = parse_presentation(format_presentation(p))
+        words.append(q.alphabet)
+        for rule in p.rules + q.rules:
             words += [rule.lhs, rule.rhs or ()]
         for w in words:
             assert {id(x) for x in w} <= shared, w
