@@ -22,7 +22,7 @@ from typing import Optional
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import TMConfig, TMSpec
-from .words import EPS, AlphabetError, Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
+from .words import AlphabetError, Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
 
 a, Q, P = cell, state_mark, color_mark
 
@@ -193,22 +193,22 @@ def parse_presentation(text: str) -> Presentation:
     kind = header.get("order", "").strip()
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
-    # token -> the alphabet's own letter: one lookup checks and interns it
-    letter = {x: x for x in alphabet}.__getitem__
+    letters = {x: x for x in alphabet}  # one lookup checks a token and interns it
     rules: list[Rule] = []
     for raw in rule_lines:
-        body, _, comment = raw.split(":", 1)[1].partition("#")
+        body = raw.split(":", 1)[1]
+        body, _, comment = body.partition("#")
+        tag = comment.strip()
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise ValueError(f"bad rule line: {raw!r}")
-        lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
         try:
-            lhs = EPS if lhs_tokens == ["eps"] else tuple(map(letter, lhs_tokens))
-            rhs = (None if rhs_tokens == ["0"] else EPS if rhs_tokens == ["eps"]
-                   else tuple(map(letter, rhs_tokens)))
-        except KeyError as exc:
-            raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet in rule line: {raw.strip()!r}") from None
-        rules.append(Rule(lhs, rhs, comment.strip()))
+            lhs = parse_word(lhs_text, letters)
+            rhs_text = rhs_text.strip()
+            rhs = None if rhs_text == "0" else parse_word(rhs_text, letters)
+        except AlphabetError as exc:
+            raise AlphabetError(f"{exc} in rule line: {raw.strip()!r}") from None
+        rules.append(Rule(lhs, rhs, tag))
     order = ReductionOrder(kind, alphabet)
     construction = kind if kind in (NILPOTENCY, ZERO_DIVISOR) else "custom"
     return Presentation(alphabet=alphabet, rules=tuple(rules), order=order, construction=construction)

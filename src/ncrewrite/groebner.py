@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .orders import ReductionOrder
-from .rewrite import Matcher, Presentation
+from .rewrite import Presentation
 from .words import Word
 
 OVERLAP = "overlap"
@@ -42,17 +42,17 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
 
     Overlaps come first, by rule1, offset, then rule2: each proper suffix of
     lhs(rule1) is looked up among the proper prefixes of the lhs words.  A
-    suffix whose first letter begins no lhs (no key of the matcher's root)
-    is skipped before it is sliced, and the prefix index is built only if
-    some suffix passes that check, and only over the lhs words that begin
-    with the first letter of such a suffix.  Inclusions follow, by rule1,
-    position, length of lhs(rule2), then rule2: the presentation's own
-    matcher finds them in lhs(rule1), unless its automaton shows that there
-    are none (see ``_inclusion_free``).  The rules are a Gröbner basis when
+    suffix whose first letter begins no lhs is skipped before it is sliced,
+    and the prefix index is built only if some suffix passes that check, and
+    only over the lhs words that begin with the first letter of such a
+    suffix.  Inclusions follow, by rule1, position, length of lhs(rule2),
+    then rule2: the presentation's own matcher finds them in lhs(rule1),
+    unless its automaton shows that there are none (see
+    ``Matcher.inclusion_free``).  The rules are a Gröbner basis when
     every ambiguity resolves (Bergman's diamond lemma).
     """
     lhss = [r.lhs for r in p.rules]
-    starts = frozenset(p.matcher._goto[0])  # the letters that begin an lhs
+    starts = p.matcher.first_letters()
     out: list[Ambiguity] = []
 
     candidates = [(r1, k) for r1, lhs1 in enumerate(lhss) if not starts.isdisjoint(lhs1[1:])
@@ -77,30 +77,16 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
                     offset2=k,
                 ))
 
-    if _inclusion_free(p.matcher):
+    if p.matcher.inclusion_free():
         return out
-    redexes, lengths = p.matcher.redexes, p.matcher.lengths
+    lengths = p.matcher.lengths
     for r1, lhs1 in enumerate(lhss):
-        hits = redexes(lhs1)  # by position, then rule id
-        if len(hits) == 1:  # only lhs1 itself
-            continue
-        hits.remove((0, r1))
+        hits = p.matcher.redexes(lhs1)  # by position, then rule id
+        hits.remove((0, r1))  # lhs1 itself
         hits.sort(key=lambda hit: (hit[0], lengths[hit[1]]))  # stable: ids stay ascending
         for pos, r2 in hits:
             out.append(Ambiguity(INCLUSION, r1, r2, witness=lhs1, offset1=0, offset2=pos))
     return out
-
-
-def _inclusion_free(m: Matcher) -> bool:
-    """True when no pattern occurs inside another one or twice, read off the
-    automaton: each pattern is reported at exactly one state, its own, and
-    that state is a leaf of the trie.  A pattern occurring later in another
-    is reported at a second state too, two equal patterns share one, and a
-    proper prefix of another ends at a state the trie goes on from, whose
-    horizon exceeds the pattern's length."""
-    reported = [(s, out) for s, out in enumerate(m._out) if out]
-    return len(reported) == len(m.patterns) and all(
-        len(out) == 1 and m._horizon[s] == m.lengths[out[0]] for s, out in reported)
 
 
 @dataclass

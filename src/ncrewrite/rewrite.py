@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from typing import Mapping, Optional
+from typing import KeysView, Mapping, Optional
 
 from .orders import ReductionOrder
 from .words import Word, check_alphabet, word_to_str
@@ -215,6 +215,21 @@ class Matcher:
                 found.append((i - lengths[pid] + 1, pid))
         found.sort()  # found in order of match end
         return found
+
+    def first_letters(self) -> KeysView[str]:
+        """The letters that begin a pattern."""
+        return self._goto[0].keys()
+
+    def inclusion_free(self) -> bool:
+        """True when no pattern occurs inside another one or twice: each
+        pattern is reported at exactly one state, its own, and that state is
+        a leaf of the trie.  A pattern occurring later in another is reported
+        at a second state too, two equal patterns share one, and a proper
+        prefix of another ends at a state the trie goes on from, whose
+        horizon exceeds the pattern's length."""
+        reported = [(s, out) for s, out in enumerate(self._out) if out]
+        return len(reported) == len(self.patterns) and all(
+            len(out) == 1 and self._horizon[s] == self.lengths[out[0]] for s, out in reported)
 
 
 def _sweep_table(rules: tuple[Rule, ...], matcher: Matcher) -> dict[int, frozenset[str]]:

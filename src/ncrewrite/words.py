@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Word = tuple[str, ...]
 
@@ -75,25 +75,27 @@ def psi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
     )
 
 
-def parse_word(text: str, alphabet: Optional[AbstractSet[str]] = None) -> Word:
+def parse_word(text: str, letters: Optional[Mapping[str, str]] = None) -> Word:
     """Parse whitespace-separated letter tokens; ``eps`` is the empty word.
 
-    Without ``alphabet`` every token must have the shape of a letter; with
-    it, every token must be a member of it.
+    Without ``letters`` every token must have the shape of a letter; with
+    it, every token must be a key of it and is replaced by its value.  A
+    table from each letter of an alphabet to itself so checks a token and
+    hands out the alphabet's own string in one lookup.
     """
     text = text.strip()
     if not text or text == "eps":
         return EPS
-    letters = tuple(map(sys.intern, text.split()))
-    if alphabet is None:
-        for letter in letters:
-            if not _LETTER_RE.match(letter):
-                raise AlphabetError(f"not a letter: {letter!r}")
-    else:
-        for letter in letters:
-            if letter not in alphabet:
-                raise AlphabetError(f"letter {letter!r} outside alphabet")
-    return letters
+    if letters is not None:
+        try:
+            return tuple(map(letters.__getitem__, text.split()))
+        except KeyError as exc:
+            raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet") from None
+    word = tuple(map(sys.intern, text.split()))
+    for letter in word:
+        if not _LETTER_RE.match(letter):
+            raise AlphabetError(f"not a letter: {letter!r}")
+    return word
 
 
 def word_to_str(w: Word) -> str:
