@@ -100,6 +100,16 @@ class TestMatcher:
         m = Matcher(pats)
         assert m.redexes(word) == naive_scan(pats, word)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.sampled_from(["a0", "a1", "t"]), min_size=1, max_size=4).map(tuple),
+                    min_size=1, max_size=6))
+    def test_first_letters_and_inclusion_free(self, pats):
+        m = Matcher(pats)
+        assert set(m.first_letters()) == {pat[0] for pat in pats}
+        # no pattern occurs inside another one, nor twice
+        free = all(naive_scan(pats, pat) == [(0, pid)] for pid, pat in enumerate(pats))
+        assert m.inclusion_free() == free
+
     def test_minsky_lhs_set(self, p_nilp, p_zd):
         # configuration words with stray t/s letters walk the deep states of
         # the automaton, which uniform words rarely reach

@@ -35,6 +35,18 @@ def test_parse_rejects_junk(bad):
         parse_word(bad)
 
 
+def test_parse_through_letter_table():
+    table = {x: x for x in psi_alphabet()}
+    w = parse_word(" L a0\tR ", table)
+    assert w == ("L", "a0", "R")
+    assert all(x is table[x] for x in w)
+    assert parse_word(" eps ", table) == ()
+    with pytest.raises(AlphabetError, match=r"^letter 'Q9' outside alphabet$"):
+        parse_word("t Q9 R", table)
+    with pytest.raises(AlphabetError, match=r"^letter 'x' outside alphabet$"):
+        parse_word("x", table)  # a table decides membership, not the letter shape
+
+
 def test_letter_kind():
     assert letter_kind("a2") == "cell"
     assert letter_kind("Q6") == "state"
