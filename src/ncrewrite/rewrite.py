@@ -23,11 +23,13 @@ their rules is about to fire at state 0, the normalizer carries c across
 the whole run of S letters ahead in one operation and counts one step per
 crossing, so normal forms, step counts and ``BudgetExhausted`` are those of
 the elementary loop.  Per machine step, ``normalize(t * encode(c))`` on
-Minsky's machine at 100 / 800 / 6400 letters costs about 49 / 206 / 1350 µs
-(nilpotency) and 38 / 238 / 1700 µs (zero-divisor), against 204 / 1980 /
+Minsky's machine at 100 / 800 / 6400 letters costs about 30 / 105 / 810 µs
+(nilpotency) and 35 / 114 / 1070 µs (zero-divisor), against 204 / 1980 /
 13980 and 257 / 2050 / 10280 µs with one rule per crossing, and 2-3 / 4-5 /
-19-24 µs for ``tm_step`` (best of 10, 2-vCPU shared host, Python 3.11.7).
-What is left is mostly the entry ``Matcher.redexes`` scan.
+19-24 µs for ``tm_step`` (best of 30, 2-vCPU shared host, Python 3.11.7).
+At 800 letters about half of that is the entry ``Matcher.redexes`` scan
+(38-52 µs), which walks the trie only from the letters that begin an lhs,
+and half the reduction loop (43-57 µs); each reads every letter once.
 
 Normal tails.  The bounded deciders multiply a word the engine has just
 normalized by one letter, so ``_reduce_word``, the reduction loop behind
@@ -166,6 +168,8 @@ class Matcher:
     """Deterministic Aho-Corasick automaton: the failure links are folded
     into ``_goto`` at build time, so a walk reads a letter with one lookup.
     ``_out[s]``: the patterns ending at state s, longest (lowest id) first.
+    ``_depth[s]``: the trie depth of s; the leading entries of ``_out[s]``
+    of that length are the patterns spelled by s itself.
     ``_horizon[s]``: the trie depth of s, plus one if a pattern extends it;
     it is > k iff the pattern prefix being read began over k letters back,
     or k back and can still grow."""
@@ -202,18 +206,40 @@ class Matcher:
             goto[u] = {**goto[f], **goto[u]} if goto[u] else goto[f]
         self._goto = goto
         self._out = out
+        self._depth = depth
         self.lengths = [len(p) for p in self.patterns]
 
     def redexes(self, word: Word) -> list[tuple[int, int]]:
-        """All (position, pattern id) occurrences, sorted by position then id."""
-        goto, out, lengths = self._goto, self._out, self.lengths
+        """All (position, pattern id) occurrences, sorted by position then id.
+
+        An occurrence begins with a letter that begins a pattern, so the
+        pass over the word only tests each letter against those, and each
+        such letter starts one walk down the trie, at most as long as the
+        longest pattern.  A walk stops where a transition leaves the trie
+        (the state's depth falls short of the letters read); each state on
+        it reports its own patterns.
+        """
+        goto, out, depth, lengths = self._goto, self._out, self._depth, self.lengths
+        root = goto[0]
+        n = len(word)
         found = []
-        s = 0
         for i, x in enumerate(word):
-            s = goto[s].get(x, 0)
-            for pid in out[s]:
-                found.append((i - lengths[pid] + 1, pid))
-        found.sort()  # found in order of match end
+            if x not in root:
+                continue
+            s, d = root[x], 1  # d letters read from i; s is on the trie
+            while True:
+                if out[s]:
+                    for pid in out[s]:  # own patterns first, of length d
+                        if lengths[pid] != d:
+                            break
+                        found.append((i, pid))
+                if i + d == n:
+                    break
+                s = goto[s].get(word[i + d], 0)
+                d += 1
+                if depth[s] != d:
+                    break
+        found.sort()  # by position already; the ids at one position by length
         return found
 
     def first_letters(self) -> KeysView[str]:

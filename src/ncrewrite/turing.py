@@ -68,6 +68,8 @@ class TMConfig:
     def validate(self, spec: TMSpec) -> None:
         if not (0 <= self.state < spec.states and 0 <= self.current < spec.colors):
             raise ValueError("state or color out of range")
+        if set(self.left).union(self.right).issubset(range(spec.colors)):
+            return  # one set check; the walk below only names the first bad color
         for k in self.left + self.right:
             if not (0 <= k < spec.colors):
                 raise ValueError(f"tape color {k} out of range")

@@ -11,7 +11,6 @@ many words are kept.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from typing import Iterable, Mapping, Optional, Sequence
@@ -27,19 +26,25 @@ class AlphabetError(ValueError):
     """A word uses a letter outside the expected alphabet."""
 
 
-@functools.cache
-def cell(k: int) -> str:
-    return sys.intern(f"a{k}")
+class _Letters(dict):
+    """Index -> interned letter ``<prefix><index>``, made on first lookup.
+
+    Callers look letters up through the bound ``__getitem__``, so mapping
+    it over a tape costs one dict lookup per cell.
+    """
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, k: int) -> str:
+        letter = self[k] = sys.intern(f"{self.prefix}{k}")
+        return letter
 
 
-@functools.cache
-def state_mark(i: int) -> str:
-    return sys.intern(f"Q{i}")
-
-
-@functools.cache
-def color_mark(j: int) -> str:
-    return sys.intern(f"P{j}")
+cell = _Letters("a").__getitem__
+state_mark = _Letters("Q").__getitem__
+color_mark = _Letters("P").__getitem__
 
 
 def letter_kind(letter: str) -> str:

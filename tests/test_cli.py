@@ -223,6 +223,20 @@ def test_start_state_out_of_range_is_usage_error(tmp_path, capsys):
     assert_usage_error(rc, capsys.readouterr(), "state or color out of range")
 
 
+@pytest.mark.parametrize("argv", [
+    ["lockstep", "--steps", "1", "--construction", "nilpotency"],
+    ["tm-run", "--budget", "1"],
+])
+def test_tape_color_out_of_range_is_usage_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    tape = tuple(k % 4 for k in range(800))
+    cfg.write_text(format_config(TMConfig(tape[:400], 2, 0, tape[400:600] + (9,) + tape[600:])))
+    rc = main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert_usage_error(rc, captured)
+    assert captured.err == "error: tape color 9 out of range\n"
+
+
 @pytest.mark.parametrize("line", ["state: 3", "bogus: 4"])
 def test_repeated_or_unknown_config_field_is_usage_error(line, tmp_path, capsys):
     cfg = tmp_path / "c.txt"

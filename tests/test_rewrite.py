@@ -33,6 +33,19 @@ def naive_scan(patterns, word):
     return sorted(hits)
 
 
+def naive_scan_by_length(patterns, word):
+    """``naive_scan`` with the patterns grouped by length: one slice per
+    position and length, which keeps long words over many patterns cheap."""
+    ids = {}
+    for pid, pat in enumerate(patterns):
+        ids.setdefault(pat, []).append(pid)
+    hits = []
+    for n in {len(pat) for pat in patterns}:
+        for pos in range(len(word) - n + 1):
+            hits += [(pos, pid) for pid in ids.get(word[pos:pos + n], ())]
+    return sorted(hits)
+
+
 class TestPolynomial:
     def test_zero(self):
         assert Polynomial.zero().is_zero()
@@ -109,6 +122,38 @@ class TestMatcher:
         # no pattern occurs inside another one, nor twice
         free = all(naive_scan(pats, pat) == [(0, pid)] for pid, pat in enumerate(pats))
         assert m.inclusion_free() == free
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_scan_from_first_letters(self, data):
+        # duplicate patterns, proper prefixes and factors of other patterns,
+        # and a word letter (Q0) that no pattern contains
+        alphabet = ["a0", "a1", "t"]
+        pats = data.draw(st.lists(
+            st.lists(st.sampled_from(alphabet), min_size=1, max_size=5).map(tuple), min_size=1, max_size=5))
+        for _ in range(data.draw(st.integers(0, 3))):
+            src = data.draw(st.sampled_from(pats))
+            start = data.draw(st.integers(0, len(src) - 1))
+            pats.append(src[start:data.draw(st.integers(start + 1, len(src)))])
+        pats = data.draw(st.permutations(pats))
+        word = data.draw(st.lists(st.sampled_from(alphabet + ["Q0"]), max_size=40))
+        m = Matcher(pats)
+        expected = naive_scan(pats, tuple(word))
+        assert m.redexes(tuple(word)) == expected
+        assert m.redexes(word) == expected  # a list works as well
+        rest = [x for x in word if x not in m.first_letters()]
+        assert m.redexes(rest) == m.redexes(tuple(rest)) == []
+
+    def test_minsky_long_configuration_words(self, p_nilp, p_zd):
+        rng = random.Random(16)
+        for p in (p_nilp, p_zd):
+            pats = [r.lhs for r in p.rules]
+            word = config_word(rng, p.construction)
+            assert naive_scan_by_length(pats, word) == naive_scan(pats, word)
+            for cells in (50, 200, 800):
+                for _ in range(4):
+                    word = config_word(rng, p.construction, cells=cells)
+                    assert p.matcher.redexes(word) == naive_scan_by_length(pats, word), (cells, word)
 
     def test_minsky_lhs_set(self, p_nilp, p_zd):
         # configuration words with stray t/s letters walk the deep states of

@@ -119,6 +119,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             TMConfig((9,), 0, 0, ()).validate(minsky)
 
+    @pytest.mark.parametrize("left,right,bad", [
+        ((0, 9, 1), (), 9),  # on the left
+        ((2,), (3, 0, 7), 7),  # on the right
+        ((1, -1), (2,), -1),  # negative
+        ((), (4,), 4),  # equal to the number of colors
+        ((0, 6, 1, 5), (8,), 6),  # several: the first, left before right
+        ((3,), (2, 11, 0, 9), 11),
+        ((1, 2), (3, 6, 8), 6),
+    ])
+    def test_config_validate_names_first_bad_color(self, minsky, left, right, bad):
+        with pytest.raises(ValueError, match=f"^tape color {bad} out of range$"):
+            TMConfig(left, 0, 0, right).validate(minsky)
+
+    def test_config_validate_long_tape(self, minsky):
+        tape = tuple(k % 4 for k in range(800))
+        TMConfig(tape[:400], 6, 3, tape[400:]).validate(minsky)
+        with pytest.raises(ValueError, match="^tape color 4 out of range$"):
+            TMConfig(tape[:400], 6, 3, tape[400:-1] + (4,)).validate(minsky)
+
 
 class TestTextFormats:
     def test_spec_roundtrip(self, minsky, tiny_halt):

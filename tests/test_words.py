@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from ncrewrite import (
     psi_alphabet,
     word_to_str,
 )
-from ncrewrite.words import check_alphabet, letter_kind
+from ncrewrite.words import cell, check_alphabet, color_mark, letter_kind, state_mark
 
 
 def test_parse_roundtrip():
@@ -66,6 +68,15 @@ def test_alphabets():
     assert psi[:2] == ("t", "s") and psi[-2:] == ("L", "R")
     # no duplicates
     assert len(set(psi)) == len(psi)
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 17])
+def test_cell_letters_are_interned(k):
+    # past Minsky's 4 colors too: the table makes a letter on first use
+    assert cell(k) is cell(k)
+    assert cell(k) == f"a{k}"
+    assert cell(k) is sys.intern(f"a{k}")
+    assert state_mark(k) is sys.intern(f"Q{k}") and color_mark(k) is sys.intern(f"P{k}")
 
 
 def test_letters_are_shared(minsky):
