@@ -24,72 +24,80 @@ from .rewrite import Presentation, Rule
 from .turing import TMConfig, TMSpec
 from .words import AlphabetError, Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
 
-a, Q, P = cell, state_mark, color_mark
+# Rows (tag, pairs, free color names, instance), made for the letter tables
+# of one machine: a[k], Q[i] and P[j] are the letters a<k>, Q<i> and P<j>, so
+# an instance indexes a tuple where a letter constructor would be a call.
+# ``instance`` gets the pair's values, then one color per free variable:
+# (i, j, q, p, ...) for a move from state i on color j to state q writing
+# color p, (i, j, ...) for a halt pair, the colors alone for a schema without
+# a pair.  It returns (lhs, rhs), with rhs None for a rule to zero.
+def _nilpotency_schemata(a: Word, Q: Word, P: Word) -> tuple:
+    return (
+        ("tt1", "none", "l", lambda l: (("t", "R", a[l]), ("R", "t", a[l]))),
+        ("tt1b", "none", "l", lambda l: (("t", a[l], "R"), (a[l], "R", "t"))),
+        ("tt2", "none", "kj", lambda k, j: (("t", a[k], a[j]), (a[k], "t", a[j]))),
+        ("tt3", "left", "k", lambda i, j, q, p, k: (("t", a[k], Q[i], P[j]), (Q[q], P[k], "t", a[p]))),
+        ("tt5", "left", "", lambda i, j, q, p: (("t", "R", Q[i], P[j]), ("R", Q[q], P[0], "t", a[p]))),
+        ("tt4", "right", "lkn", lambda i, j, q, p, l, k, n: (
+            ("t", a[l], Q[i], P[j], a[k], a[n]), (a[l], a[p], Q[q], P[k], "t", a[n]))),
+        ("tt4r", "right", "lk", lambda i, j, q, p, l, k: (
+            ("t", a[l], Q[i], P[j], a[k], "R"), (a[l], a[p], Q[q], P[k], "R", "t"))),
+        ("tt4b", "right", "kn", lambda i, j, q, p, k, n: (
+            ("t", "R", Q[i], P[j], a[k], a[n]), ("R", a[p], Q[q], P[k], "t", a[n]))),
+        ("tt4ar", "right", "k", lambda i, j, q, p, k: (
+            ("t", "R", Q[i], P[j], a[k], "R"), ("R", a[p], Q[q], P[k], "R", "t"))),
+        ("tt6", "right", "l", lambda i, j, q, p, l: (
+            ("t", a[l], Q[i], P[j], "R"), (a[l], a[p], Q[q], P[0], "R", "t"))),
+        ("tt6b", "right", "", lambda i, j, q, p: (("t", "R", Q[i], P[j], "R"), ("R", a[p], Q[q], P[0], "R", "t"))),
+        ("tt7", "stop", "", lambda i, j: ((Q[i], P[j]), None)),
+    )
 
-# Rows (tag, pairs, free color names, instance).  ``instance`` gets the pair's
-# values, then one color per free variable: (i, j, q, p, ...) for a move
-# from state i on color j to state q writing color p, (i, j, ...) for a
-# halt pair, the colors alone for a schema without a pair.  It returns
-# (lhs, rhs), with rhs None for a rule to zero.
-_NILPOTENCY_SCHEMATA = (
-    ("tt1", "none", "l", lambda l: (("t", "R", a(l)), ("R", "t", a(l)))),
-    ("tt1b", "none", "l", lambda l: (("t", a(l), "R"), (a(l), "R", "t"))),
-    ("tt2", "none", "kj", lambda k, j: (("t", a(k), a(j)), (a(k), "t", a(j)))),
-    ("tt3", "left", "k", lambda i, j, q, p, k: (("t", a(k), Q(i), P(j)), (Q(q), P(k), "t", a(p)))),
-    ("tt5", "left", "", lambda i, j, q, p: (("t", "R", Q(i), P(j)), ("R", Q(q), P(0), "t", a(p)))),
-    ("tt4", "right", "lkn", lambda i, j, q, p, l, k, n: (
-        ("t", a(l), Q(i), P(j), a(k), a(n)), (a(l), a(p), Q(q), P(k), "t", a(n)))),
-    ("tt4r", "right", "lk", lambda i, j, q, p, l, k: (
-        ("t", a(l), Q(i), P(j), a(k), "R"), (a(l), a(p), Q(q), P(k), "R", "t"))),
-    ("tt4b", "right", "kn", lambda i, j, q, p, k, n: (
-        ("t", "R", Q(i), P(j), a(k), a(n)), ("R", a(p), Q(q), P(k), "t", a(n)))),
-    ("tt4ar", "right", "k", lambda i, j, q, p, k: (
-        ("t", "R", Q(i), P(j), a(k), "R"), ("R", a(p), Q(q), P(k), "R", "t"))),
-    ("tt6", "right", "l", lambda i, j, q, p, l: (
-        ("t", a(l), Q(i), P(j), "R"), (a(l), a(p), Q(q), P(0), "R", "t"))),
-    ("tt6b", "right", "", lambda i, j, q, p: (("t", "R", Q(i), P(j), "R"), ("R", a(p), Q(q), P(0), "R", "t"))),
-    ("tt7", "stop", "", lambda i, j: ((Q(i), P(j)), None)),
-)
 
-_ZERO_DIVISOR_SCHEMATA = (
-    ("td1", "none", "k", lambda k: (("t", "L", a(k)), ("L", "t", a(k)))),
-    ("td2", "none", "kl", lambda k, l: (("t", a(k), a(l)), (a(k), "t", a(l)))),
-    ("td9", "none", "", lambda: (("s", "R"), ("R", "s"))),
-    ("td8", "none", "k", lambda k: (("s", a(k)), (a(k), "s"))),
-    ("td3", "left", "k", lambda i, j, q, p, k: (("t", a(k), Q(i), P(j)), (Q(q), P(k), a(p), "s"))),
-    ("td5", "left", "", lambda i, j, q, p: (("t", "L", Q(i), P(j)), ("L", Q(q), P(0), a(p), "s"))),
-    ("td4", "right", "lk", lambda i, j, q, p, l, k: (
-        ("t", a(l), Q(i), P(j), a(k)), (a(l), a(p), Q(q), P(k), "s"))),
-    ("td4b", "right", "k", lambda i, j, q, p, k: (("t", "L", Q(i), P(j), a(k)), ("L", a(p), Q(q), P(k), "s"))),
-    ("td6", "right", "l", lambda i, j, q, p, l: (
-        ("t", a(l), Q(i), P(j), "R"), (a(l), a(p), Q(q), P(0), "R", "s"))),
-    ("td6b", "right", "", lambda i, j, q, p: (("t", "L", Q(i), P(j), "R"), ("L", a(p), Q(q), P(0), "R", "s"))),
-    ("td7", "stop", "", lambda i, j: ((Q(i), P(j)), None)),
-)
+def _zerodivisor_schemata(a: Word, Q: Word, P: Word) -> tuple:
+    return (
+        ("td1", "none", "k", lambda k: (("t", "L", a[k]), ("L", "t", a[k]))),
+        ("td2", "none", "kl", lambda k, l: (("t", a[k], a[l]), (a[k], "t", a[l]))),
+        ("td9", "none", "", lambda: (("s", "R"), ("R", "s"))),
+        ("td8", "none", "k", lambda k: (("s", a[k]), (a[k], "s"))),
+        ("td3", "left", "k", lambda i, j, q, p, k: (("t", a[k], Q[i], P[j]), (Q[q], P[k], a[p], "s"))),
+        ("td5", "left", "", lambda i, j, q, p: (("t", "L", Q[i], P[j]), ("L", Q[q], P[0], a[p], "s"))),
+        ("td4", "right", "lk", lambda i, j, q, p, l, k: (
+            ("t", a[l], Q[i], P[j], a[k]), (a[l], a[p], Q[q], P[k], "s"))),
+        ("td4b", "right", "k", lambda i, j, q, p, k: (("t", "L", Q[i], P[j], a[k]), ("L", a[p], Q[q], P[k], "s"))),
+        ("td6", "right", "l", lambda i, j, q, p, l: (
+            ("t", a[l], Q[i], P[j], "R"), (a[l], a[p], Q[q], P[0], "R", "s"))),
+        ("td6b", "right", "", lambda i, j, q, p: (("t", "L", Q[i], P[j], "R"), ("L", a[p], Q[q], P[0], "R", "s"))),
+        ("td7", "stop", "", lambda i, j: ((Q[i], P[j]), None)),
+    )
 
 
 def _instantiate(spec: TMSpec, schemata) -> tuple[Rule, ...]:
+    colors, states = range(spec.colors), range(spec.states)
+    table = schemata(tuple(map(cell, colors)), tuple(map(state_mark, states)), tuple(map(color_mark, colors)))
     moves = {kind: [(i, j, spec.table[i, j].state, spec.table[i, j].color) for i, j in keys]
              for kind, keys in (("left", spec.left_pairs()), ("right", spec.right_pairs()))}
     pairs = {"none": [()], "stop": spec.stop_pairs(), **moves}
     rules: list[Rule] = []
     add = rules.append
-    for tag, kind, free, instance in schemata:
-        labels = [(colors, ",".join(f"{v}={k}" for v, k in zip(free, colors)))
-                  for colors in product(range(spec.colors), repeat=len(free))]
+    for tag, kind, free, instance in table:
+        colorings = list(product(colors, repeat=len(free)))
+        # tag[i=..,j=..,<colors>]; a schema with neither keeps its bare tag
+        labels = [",".join(f"{v}={k}" for v, k in zip(free, c)) + "]" for c in colorings] if free else [""]
         for pair in pairs[kind]:
-            # tag[i=..,j=..,<colors>]; a schema with neither keeps its bare tag
-            head = f"{tag}[i={pair[0]},j={pair[1]}" if pair else f"{tag}["
-            sep = "," if pair and free else ""
-            for colors, label in labels:
-                add(Rule(*instance(*pair, *colors), f"{head}{sep}{label}]" if pair or free else tag))
+            if pair:
+                head = f"{tag}[i={pair[0]},j={pair[1]}" + ("," if free else "]")
+            else:
+                head = f"{tag}[" if free else tag
+            for coloring, label in zip(colorings, labels):
+                lhs, rhs = instance(*pair, *coloring)
+                add(Rule(lhs, rhs, head + label))
     return tuple(rules)
 
 
 def nilpotency_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
         alphabet=phi_alphabet(spec.states, spec.colors),
-        rules=_instantiate(spec, _NILPOTENCY_SCHEMATA),
+        rules=_instantiate(spec, _nilpotency_schemata),
         order=nilpotency_order(spec.states, spec.colors),
         construction=NILPOTENCY,
     )
@@ -98,7 +106,7 @@ def nilpotency_presentation(spec: TMSpec) -> Presentation:
 def zerodivisor_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
         alphabet=psi_alphabet(spec.states, spec.colors),
-        rules=_instantiate(spec, _ZERO_DIVISOR_SCHEMATA),
+        rules=_instantiate(spec, _zerodivisor_schemata),
         order=zerodivisor_order(spec.states, spec.colors),
         construction=ZERO_DIVISOR,
     )
@@ -166,10 +174,9 @@ def format_presentation(p: Presentation) -> str:
         f"alphabet: {' '.join(p.alphabet)}",
         f"order: {p.order.kind}",
     ]
-    for r in p.rules:
-        rhs = "0" if r.rhs is None else word_to_str(r.rhs)
-        comment = f"  # {r.tag}" if r.tag else ""
-        lines.append(f"rule: {word_to_str(r.lhs)} -> {rhs}{comment}")
+    for lhs, rhs, tag in p.rules:
+        comment = f"  # {tag}" if tag else ""
+        lines.append(f"rule: {word_to_str(lhs)} -> {'0' if rhs is None else word_to_str(rhs)}{comment}")
     return "\n".join(lines) + "\n"
 
 
@@ -178,15 +185,15 @@ def parse_presentation(text: str) -> Presentation:
     rule_lines: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("rule:"):
+            rule_lines.append(raw)
+        elif not line or line.startswith("#"):
             continue
-        if line.startswith(("alphabet:", "order:")):
+        elif line.startswith(("alphabet:", "order:")):
             key, _, value = line.partition(":")
             if key in header:
                 raise ValueError(f"bad line: {raw!r} (second {key} header)")
             header[key] = value
-        elif line.startswith("rule:"):
-            rule_lines.append(raw)
         else:
             raise ValueError(f"bad line: {raw!r}")
     alphabet = parse_word(header.get("alphabet", ""))
@@ -194,21 +201,25 @@ def parse_presentation(text: str) -> Presentation:
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
     letters = {x: x for x in alphabet}  # one lookup checks a token and interns it
+    letter = letters.__getitem__
     rules: list[Rule] = []
+    add = rules.append
     for raw in rule_lines:
-        body = raw.split(":", 1)[1]
-        body, _, comment = body.partition("#")
-        tag = comment.strip()
+        body, _, comment = raw.split(":", 1)[1].partition("#")
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise ValueError(f"bad rule line: {raw!r}")
+        rhs_tokens = rhs_text.split()
         try:
-            lhs = parse_word(lhs_text, letters)
-            rhs_text = rhs_text.strip()
-            rhs = None if rhs_text == "0" else parse_word(rhs_text, letters)
-        except AlphabetError as exc:
-            raise AlphabetError(f"{exc} in rule line: {raw.strip()!r}") from None
-        rules.append(Rule(lhs, rhs, tag))
+            lhs = tuple(map(letter, lhs_text.split()))
+            rhs = None if rhs_tokens == ["0"] else tuple(map(letter, rhs_tokens))
+        except KeyError:  # "eps", or a token outside the alphabet that parse_word names
+            try:
+                lhs = parse_word(lhs_text, letters)
+                rhs = None if rhs_tokens == ["0"] else parse_word(rhs_text, letters)
+            except AlphabetError as exc:
+                raise AlphabetError(f"{exc} in rule line: {raw.strip()!r}") from None
+        add(Rule(lhs, rhs, comment.strip()))
     order = ReductionOrder(kind, alphabet)
     construction = kind if kind in (NILPOTENCY, ZERO_DIVISOR) else "custom"
     return Presentation(alphabet=alphabet, rules=tuple(rules), order=order, construction=construction)

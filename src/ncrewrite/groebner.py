@@ -165,7 +165,7 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
 def audit_orientation(p: Presentation) -> list[int]:
     """Ids of rules whose lhs is not strictly above their rhs."""
     bad = []
-    for rid, r in enumerate(p.rules):
-        if r.rhs is not None and not p.order.greater(r.lhs, r.rhs):
+    for rid, (lhs, rhs, _) in enumerate(p.rules):
+        if rhs is not None and not p.order.greater(lhs, rhs):
             bad.append(rid)
     return bad

@@ -8,6 +8,7 @@ Minsky 7-state 4-color universal machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 
@@ -66,13 +67,30 @@ class TMConfig:
     right: tuple[int, ...]
 
     def validate(self, spec: TMSpec) -> None:
+        _check_integer(self.state, "state")
+        _check_integer(self.current, "color")
         if not (0 <= self.state < spec.states and 0 <= self.current < spec.colors):
             raise ValueError("state or color out of range")
-        if set(self.left).union(self.right).issubset(range(spec.colors)):
-            return  # one set check; the walk below only names the first bad color
+        # bytes() takes only integers, and only 0-255 (a set check would keep
+        # just one of 1 and 1.0); deleting the valid colors leaves nothing of a
+        # valid tape.  The walk below only names the first bad color.
+        try:
+            if not (bytes(self.left) + bytes(self.right)).translate(None, bytes(range(spec.colors))):
+                return
+        except (TypeError, ValueError):
+            pass
         for k in self.left + self.right:
-            if not (0 <= k < spec.colors):
+            _check_integer(k, "tape color")
+            if not 0 <= k < spec.colors:
                 raise ValueError(f"tape color {k} out of range")
+
+
+def _check_integer(value, what: str) -> None:
+    """An integer is whatever Python can use as an index (``operator.index``)."""
+    try:
+        index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,17 @@ second, independent path.  ``config_word`` draws the words that reach the
 long left-hand sides of the compute rules.  ``resolve_ambiguity`` is the
 diamond-lemma check on one ambiguity, ``deg_t`` and ``htilde`` the
 invariants the nilpotency and zero-divisor rules conserve, and the two tiny
-machines are small enough for brute force.  ``annihilate_reference`` and
+machines are small enough for brute force.  ``matcher_tables`` is the
+Aho-Corasick build as it was before ``Matcher`` folded its failure links
+over one breadth-first list: per-node lists kept during insertion and a
+deque of (state, failure state) pairs.  ``annihilate_reference`` and
 ``cancellation_probe_reference`` are the deciders' loops as they were before
 they ran on the word normalizer: each power or derived word goes through the
 public ``normalize``.
 """
 
 import random
+from collections import deque
 
 from ncrewrite import NILPOTENCY, ZERO_DIVISOR, DecisionOutcome, Move, Polynomial, TMConfig, TMSpec, encode_config
 from ncrewrite.harness import _presentation, _random_structured_word, _random_word
@@ -59,6 +63,36 @@ def rewrite_at(w, pos, rule):
     if rule.rhs is None:
         return None
     return w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
+
+
+def matcher_tables(patterns):
+    """(goto, out, depth, horizon) of the deterministic automaton over
+    patterns, the tables ``Matcher`` keeps as ``_goto``, ``_out``, ``_depth``
+    and ``_horizon``."""
+    goto = [{}]
+    out = [[]]
+    depth = [0]
+    for pid, pat in enumerate(patterns):
+        s = 0
+        for x in pat:
+            nxt = goto[s].get(x)
+            if nxt is None:
+                nxt = len(goto)
+                goto[s][x] = nxt
+                goto.append({})
+                out.append([])
+                depth.append(depth[s] + 1)
+            s = nxt
+        out[s].append(pid)
+    horizon = [d + (1 if g else 0) for d, g in zip(depth, goto)]
+    queue = deque((u, 0) for u in goto[0].values())
+    while queue:
+        u, f = queue.popleft()
+        for x, v in goto[u].items():
+            queue.append((v, goto[f].get(x, 0)))
+        out[u] = out[u] + out[f]
+        goto[u] = {**goto[f], **goto[u]} if goto[u] else goto[f]
+    return goto, out, depth, horizon
 
 
 def config_word(rng, construction, cells=6):

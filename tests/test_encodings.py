@@ -232,12 +232,15 @@ class TestPresentationText:
     @pytest.mark.parametrize("rule,error,message", [
         ("rule: eps -> R", ValueError, "rule lhs must be nonempty"),
         ("rule:  -> R", ValueError, "rule lhs must be nonempty"),
+        ("rule: eps -> 0", ValueError, "rule lhs must be nonempty"),
         ("rule: t R R", ValueError, "bad rule line: 'rule: t R R'"),
         ("rule: 0 -> R", AlphabetError, "letter '0' outside alphabet in rule line: 'rule: 0 -> R'"),
         ("rule: t R -> 0 R", AlphabetError, "letter '0' outside alphabet in rule line: 'rule: t R -> 0 R'"),
         ("rule: t eps -> R", AlphabetError, "letter 'eps' outside alphabet in rule line: 'rule: t eps -> R'"),
         ("  rule: t Q1 -> a1  # tag", AlphabetError, "letter 'Q1' outside alphabet in rule line: 'rule: t Q1 -> a1  # tag'"),
         ("rule: t R -> a1 Q1", AlphabetError, "letter 'a1' outside alphabet in rule line: 'rule: t R -> a1 Q1'"),
+        ("rule: t -> eps a0", AlphabetError, "letter 'eps' outside alphabet in rule line: 'rule: t -> eps a0'"),
+        ("rule: t a0 -> s", AlphabetError, "letter 's' outside alphabet in rule line: 'rule: t a0 -> s'"),
     ])
     def test_rule_line_errors(self, rule, error, message):
         with pytest.raises(error) as exc:

@@ -7,6 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncrewrite import (
+    NILPOTENCY,
+    ZERO_DIVISOR,
+    AlphabetError,
     BudgetExhausted,
     Matcher,
     Polynomial,
@@ -16,12 +19,26 @@ from ncrewrite import (
     concat,
     encode_config,
     format_polynomial,
+    make_presentation,
+    minsky_utm,
     normalize,
     parse_presentation,
     parse_word,
 )
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from oracles import LeftmostOracle, RightmostOracle, config_word, one_step_rewrites
+from oracles import LeftmostOracle, RightmostOracle, config_word, matcher_tables, one_step_rewrites
+
+
+def draw_patterns(data, alphabet, min_size=1):
+    """Random patterns, then duplicates, proper prefixes and factors of them,
+    in a random order."""
+    pats = data.draw(st.lists(
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=5).map(tuple), min_size=min_size, max_size=5))
+    for _ in range(data.draw(st.integers(0, 3)) if pats else 0):
+        src = data.draw(st.sampled_from(pats))
+        start = data.draw(st.integers(0, len(src) - 1))
+        pats.append(src[start:data.draw(st.integers(start + 1, len(src)))])
+    return data.draw(st.permutations(pats))
 
 
 def naive_scan(patterns, word):
@@ -126,16 +143,9 @@ class TestMatcher:
     @settings(max_examples=300)
     @given(st.data())
     def test_scan_from_first_letters(self, data):
-        # duplicate patterns, proper prefixes and factors of other patterns,
         # and a word letter (Q0) that no pattern contains
         alphabet = ["a0", "a1", "t"]
-        pats = data.draw(st.lists(
-            st.lists(st.sampled_from(alphabet), min_size=1, max_size=5).map(tuple), min_size=1, max_size=5))
-        for _ in range(data.draw(st.integers(0, 3))):
-            src = data.draw(st.sampled_from(pats))
-            start = data.draw(st.integers(0, len(src) - 1))
-            pats.append(src[start:data.draw(st.integers(start + 1, len(src)))])
-        pats = data.draw(st.permutations(pats))
+        pats = draw_patterns(data, alphabet)
         word = data.draw(st.lists(st.sampled_from(alphabet + ["Q0"]), max_size=40))
         m = Matcher(pats)
         expected = naive_scan(pats, tuple(word))
@@ -143,6 +153,25 @@ class TestMatcher:
         assert m.redexes(word) == expected  # a list works as well
         rest = [x for x in word if x not in m.first_letters()]
         assert m.redexes(rest) == m.redexes(tuple(rest)) == []
+
+    @staticmethod
+    def assert_tables_match_oracle(pats):
+        m = Matcher(pats)
+        goto, out, depth, horizon = matcher_tables(pats)
+        assert [dict(g) for g in m._goto] == goto
+        assert m._out == out
+        assert m._depth == depth
+        assert m._horizon == horizon
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_build_matches_oracle(self, data):
+        self.assert_tables_match_oracle(draw_patterns(data, ["a0", "a1", "t"], min_size=0))
+
+    def test_minsky_build_matches_oracle(self):
+        spec = minsky_utm()
+        for construction in (NILPOTENCY, ZERO_DIVISOR):
+            self.assert_tables_match_oracle([r.lhs for r in make_presentation(spec, construction).rules])
 
     def test_minsky_long_configuration_words(self, p_nilp, p_zd):
         rng = random.Random(16)
@@ -415,3 +444,49 @@ def test_synthetic_presentation_descent_required():
     p = Presentation(("a0", "a1"), (Rule(("a0", "a1"), ("a1", "a0")),), order)
     nf, _ = normalize(Polynomial.from_word(("a0", "a1", "a1")), p)
     assert nf == Polynomial.from_word(("a1", "a1", "a0"))
+
+
+class TestRule:
+    def test_immutable(self):
+        rule = Rule(("t", "a0"), ("a0", "t"), "x")
+        for field, value in (("lhs", ("t",)), ("rhs", None), ("tag", "y")):
+            with pytest.raises(AttributeError):
+                setattr(rule, field, value)
+        assert rule == Rule(("t", "a0"), ("a0", "t"), "x")
+
+    def test_equal_fields_compare_equal(self):
+        assert Rule(("t", "a0"), None) == Rule(("t", "a0"), None, "")
+        assert hash(Rule(("t",), ("a0",), "x")) == hash(Rule(("t",), ("a0",), "x"))
+        assert Rule(("t",), ("a0",), "x") != Rule(("t",), ("a0",), "y")
+        assert Rule(("t",), None) != Rule(("t",), ())
+
+    def test_empty_lhs(self):
+        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
+            Rule((), ("a0",))
+        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
+            Rule(lhs=(), rhs=None, tag="x")
+
+    def test_fields(self):
+        rule = Rule(lhs=("t",), rhs=None)
+        assert (rule.lhs, rule.rhs, rule.tag) == (("t",), None, "")
+
+
+class TestPresentationLetters:
+    def test_rhs_letter_outside_alphabet(self):
+        letters = ("t", "a0")
+        with pytest.raises(AlphabetError, match=r"^letter 'R' outside alphabet in rule 0: t a0 -> R$"):
+            Presentation(letters, (Rule(("t", "a0"), ("R",)),), ReductionOrder(DEGLEX, letters))
+
+    def test_first_bad_letter_named(self):
+        letters = ("t", "a0")
+        rules = (Rule(("t",), None), Rule(("a0", "t"), ("t", "a0")), Rule(("a0", "Q1"), ("s",)), Rule(("s",), None))
+        with pytest.raises(AlphabetError, match=r"^letter 'Q1' outside alphabet in rule 2: a0 Q1 -> s$"):
+            Presentation(letters, rules, ReductionOrder(DEGLEX, letters))
+        with pytest.raises(AlphabetError, match=r"^letter 's' outside alphabet in rule 0: s -> 0$"):
+            Presentation(letters, rules[3:], ReductionOrder(DEGLEX, letters))
+
+    def test_letters_inside_alphabet(self):
+        letters = ("t", "a0")
+        p = Presentation(letters, (Rule(("t", "a0"), ("a0", "t")), Rule(("a0", "a0"), None)),
+                         ReductionOrder(DEGLEX, letters))
+        assert normalize(Polynomial.from_word(("t", "a0")), p)[0] == Polynomial.from_word(("a0", "t"))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ncrewrite import (
@@ -131,6 +133,30 @@ class TestValidation:
     def test_config_validate_names_first_bad_color(self, minsky, left, right, bad):
         with pytest.raises(ValueError, match=f"^tape color {bad} out of range$"):
             TMConfig(left, 0, 0, right).validate(minsky)
+
+    @pytest.mark.parametrize("left,right,message", [
+        ((1.5,), (), "tape color 1.5 is not an integer"),
+        ((), (0, "2"), "tape color '2' is not an integer"),
+        ((0, 1), (1.0,), "tape color 1.0 is not an integer"),  # equal to a color in the tape
+        ((2, Fraction(1)), (), "tape color Fraction(1, 1) is not an integer"),
+        ((0,), (3, 2.0) + (1,) * 300, "tape color 2.0 is not an integer"),
+        ((0, 7), ("x",), "tape color 7 out of range"),  # the first bad color, of either kind
+    ])
+    def test_config_validate_rejects_non_integer_colors(self, minsky, left, right, message):
+        with pytest.raises(ValueError) as exc:
+            TMConfig(left, 0, 0, right).validate(minsky)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("state,current,message", [
+        (1.0, 0, "state 1.0 is not an integer"),
+        ("2", 0, "state '2' is not an integer"),
+        (0, 2.5, "color 2.5 is not an integer"),
+        (0, "x", "color 'x' is not an integer"),
+    ])
+    def test_config_validate_rejects_non_integer_state_or_color(self, minsky, state, current, message):
+        with pytest.raises(ValueError) as exc:
+            TMConfig((), state, current, ()).validate(minsky)
+        assert str(exc.value) == message
 
     def test_config_validate_long_tape(self, minsky):
         tape = tuple(k % 4 for k in range(800))
