@@ -21,8 +21,10 @@ from typing import Optional
 
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
-from .turing import TMConfig, TMSpec
-from .words import AlphabetError, Word, cell, color_mark, parse_word, phi_alphabet, psi_alphabet, state_mark, word_to_str
+from .turing import STOP, TMConfig, TMSpec
+from .words import EPS, AlphabetError, Word, cell, color_mark, parse_word, state_mark, word_to_str
+
+_EPS_TOKENS, _ZERO_TOKENS = ["eps"], ["0"]  # the whole of a rule side: the empty word, zero
 
 # Rows (tag, pairs, free color names, instance), made for the letter tables
 # of one machine: a[k], Q[i] and P[j] are the letters a<k>, Q<i> and P<j>, so
@@ -74,9 +76,12 @@ def _zerodivisor_schemata(a: Word, Q: Word, P: Word) -> tuple:
 def _instantiate(spec: TMSpec, schemata) -> tuple[Rule, ...]:
     colors, states = range(spec.colors), range(spec.states)
     table = schemata(tuple(map(cell, colors)), tuple(map(state_mark, states)), tuple(map(color_mark, colors)))
-    moves = {kind: [(i, j, spec.table[i, j].state, spec.table[i, j].color) for i, j in keys]
-             for kind, keys in (("left", spec.left_pairs()), ("right", spec.right_pairs()))}
-    pairs = {"none": [()], "stop": spec.stop_pairs(), **moves}
+    pairs: dict[str, list[tuple[int, ...]]] = {"none": [()], "left": [], "right": [], "stop": []}
+    for (i, j), move in sorted(spec.table.items()):
+        if move is STOP:
+            pairs["stop"].append((i, j))
+        else:
+            pairs["left" if move.direction == "L" else "right"].append((i, j, move.state, move.color))
     rules: list[Rule] = []
     add = rules.append
     for tag, kind, free, instance in table:
@@ -96,7 +101,6 @@ def _instantiate(spec: TMSpec, schemata) -> tuple[Rule, ...]:
 
 def nilpotency_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
-        alphabet=phi_alphabet(spec.states, spec.colors),
         rules=_instantiate(spec, _nilpotency_schemata),
         order=nilpotency_order(spec.states, spec.colors),
         construction=NILPOTENCY,
@@ -105,7 +109,6 @@ def nilpotency_presentation(spec: TMSpec) -> Presentation:
 
 def zerodivisor_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
-        alphabet=psi_alphabet(spec.states, spec.colors),
         rules=_instantiate(spec, _zerodivisor_schemata),
         order=zerodivisor_order(spec.states, spec.colors),
         construction=ZERO_DIVISOR,
@@ -200,8 +203,7 @@ def parse_presentation(text: str) -> Presentation:
     kind = header.get("order", "").strip()
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
-    letters = {x: x for x in alphabet}  # one lookup checks a token and interns it
-    letter = letters.__getitem__
+    letter = {x: x for x in alphabet}.__getitem__  # one lookup checks a token and interns it
     rules: list[Rule] = []
     add = rules.append
     for raw in rule_lines:
@@ -209,17 +211,14 @@ def parse_presentation(text: str) -> Presentation:
         lhs_text, arrow, rhs_text = body.partition("->")
         if not arrow:
             raise ValueError(f"bad rule line: {raw!r}")
-        rhs_tokens = rhs_text.split()
+        lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
         try:
-            lhs = tuple(map(letter, lhs_text.split()))
-            rhs = None if rhs_tokens == ["0"] else tuple(map(letter, rhs_tokens))
-        except KeyError:  # "eps", or a token outside the alphabet that parse_word names
-            try:
-                lhs = parse_word(lhs_text, letters)
-                rhs = None if rhs_tokens == ["0"] else parse_word(rhs_text, letters)
-            except AlphabetError as exc:
-                raise AlphabetError(f"{exc} in rule line: {raw.strip()!r}") from None
+            lhs = EPS if lhs_tokens == _EPS_TOKENS else tuple(map(letter, lhs_tokens))
+            rhs = (None if rhs_tokens == _ZERO_TOKENS else EPS if rhs_tokens == _EPS_TOKENS
+                   else tuple(map(letter, rhs_tokens)))
+        except KeyError as exc:
+            raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet in rule line: {raw.strip()!r}") from None
         add(Rule(lhs, rhs, comment.strip()))
     order = ReductionOrder(kind, alphabet)
     construction = kind if kind in (NILPOTENCY, ZERO_DIVISOR) else "custom"
-    return Presentation(alphabet=alphabet, rules=tuple(rules), order=order, construction=construction)
+    return Presentation(rules=tuple(rules), order=order, construction=construction)

@@ -26,14 +26,13 @@ class Ambiguity:
 
     Overlap: a proper suffix of lhs(rule1) equals a proper prefix of
     lhs(rule2); witness glues the two.  Inclusion: lhs(rule2) occurs
-    inside lhs(rule1) (witness is lhs(rule1) itself).
+    inside lhs(rule1), the witness.  lhs(rule2) begins at ``offset2``.
     """
 
     kind: str
     rule1: int
     rule2: int
     witness: Word
-    offset1: int
     offset2: int
 
 
@@ -73,7 +72,6 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
                     rule1=r1,
                     rule2=r2,
                     witness=lhs1 + lhss[r2][len(suffix):],
-                    offset1=0,
                     offset2=k,
                 ))
 
@@ -85,7 +83,7 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
         hits.remove((0, r1))  # lhs1 itself
         hits.sort(key=lambda hit: (hit[0], lengths[hit[1]]))  # stable: ids stay ascending
         for pos, r2 in hits:
-            out.append(Ambiguity(INCLUSION, r1, r2, witness=lhs1, offset1=0, offset2=pos))
+            out.append(Ambiguity(INCLUSION, r1, r2, witness=lhs1, offset2=pos))
     return out
 
 

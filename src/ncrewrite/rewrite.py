@@ -103,6 +103,11 @@ class Rule(_RuleFields):
             return _new_tuple(cls, (lhs, rhs, tag))
         raise ValueError("rule lhs must be nonempty")
 
+    @classmethod
+    def _make(cls, iterable) -> "Rule":
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
 
 _ONE = Fraction(1)
 
@@ -133,10 +138,8 @@ class Polynomial:
         return cls._of({})
 
     @classmethod
-    def from_word(cls, w: Word, coeff: Fraction | int = _ONE) -> "Polynomial":
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
-        return cls._of({tuple(w): coeff} if coeff else {})
+    def from_word(cls, w: Word) -> "Polynomial":
+        return cls._of({tuple(w): _ONE})
 
     @property
     def terms(self) -> dict[Word, Fraction]:
@@ -344,9 +347,8 @@ def _sweep_table(rules: tuple[Rule, ...], matcher: Matcher) -> dict[int, frozens
 
 @dataclass(eq=False)
 class Presentation:
-    """A finitely presented algebra: alphabet, oriented rules, reduction order."""
+    """A finitely presented algebra: oriented rules, and the reduction order over its alphabet."""
 
-    alphabet: tuple[str, ...]
     rules: tuple[Rule, ...]
     order: ReductionOrder
     construction: str = "custom"
@@ -380,6 +382,10 @@ class Presentation:
         matcher = Matcher(list(map(_lhs_of, self.rules)))
         return matcher, _sweep_table(self.rules, matcher)
 
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return self.order.precedence
+
     @functools.cached_property
     def letters(self) -> frozenset[str]:
         """The alphabet as a set, for membership tests."""
@@ -399,20 +405,9 @@ class BudgetExhausted(RuntimeError):
         self.remaining_redexes = remaining_redexes
 
 
-def _normalize_word(w: Word, p: Presentation, budget: int) -> tuple[Optional[Word], int]:
-    """Normal form of a single word (None when it reduces to zero)."""
-    # Entry scan: a word without a redex comes back after it unchanged.  It
-    # also keeps Matcher.redexes on the path of every call, which the
-    # benchmark's traced mode requires until it names its layers by what
-    # they do rather than by implementation spans.
-    if not p.matcher.redexes(w):
-        return w, 0
-    return _reduce_word(w, p, budget)
-
-
 def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tuple[Optional[Word], int]:
-    """Normal form of w and the rewrite steps used, as ``_normalize_word``;
-    the caller vouches that the last ``normal`` letters of w hold no redex.
+    """Normal form of w (None for zero) and the rewrite steps used; the
+    caller vouches that the last ``normal`` letters of w hold no redex.
 
     Rewrites the leftmost redex each time, the lowest rule id among those
     at the same position; by confluence any other choice reaches the same
@@ -515,13 +510,19 @@ def normalize(
     out: dict[Word, Fraction] = {}
     for w, c in x._terms.items():
         check_alphabet(w, p.letters)
-        try:
-            nf, steps = _normalize_word(w, p, budget - total)
-        except BudgetExhausted as exc:
-            raise BudgetExhausted(exc.partial, total + exc.steps, exc.remaining_redexes)
-        total += steps
-        if nf is None:
-            continue
+        # Entry scan: a word without a redex is its own normal form.  It also
+        # keeps Matcher.redexes on the path of every call, which the
+        # benchmark's traced mode requires until it names its layers by what
+        # they do rather than by implementation spans.
+        nf = w
+        if p.matcher.redexes(w):
+            try:
+                nf, steps = _reduce_word(w, p, budget - total)
+            except BudgetExhausted as exc:
+                raise BudgetExhausted(exc.partial, total + exc.steps, exc.remaining_redexes)
+            total += steps
+            if nf is None:
+                continue
         prev = out.get(nf)
         if prev is not None:
             c += prev

@@ -44,15 +44,6 @@ class TMSpec:
                 if not (0 <= entry.state < self.states and 0 <= entry.color < self.colors):
                     raise ValueError(f"bad move target in entry ({i}, {j})")
 
-    def left_pairs(self) -> list[tuple[int, int]]:
-        return sorted(k for k, e in self.table.items() if e is not STOP and e.direction == "L")
-
-    def right_pairs(self) -> list[tuple[int, int]]:
-        return sorted(k for k, e in self.table.items() if e is not STOP and e.direction == "R")
-
-    def stop_pairs(self) -> list[tuple[int, int]]:
-        return sorted(k for k, e in self.table.items() if e is STOP)
-
 
 @dataclass(frozen=True)
 class TMConfig:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Sequence
 
 Word = tuple[str, ...]
 
@@ -80,22 +80,11 @@ def psi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
     )
 
 
-def parse_word(text: str, letters: Optional[Mapping[str, str]] = None) -> Word:
-    """Parse whitespace-separated letter tokens; ``eps`` is the empty word.
-
-    Without ``letters`` every token must have the shape of a letter; with
-    it, every token must be a key of it and is replaced by its value.  A
-    table from each letter of an alphabet to itself so checks a token and
-    hands out the alphabet's own string in one lookup.
-    """
+def parse_word(text: str) -> Word:
+    """Parse whitespace-separated letter tokens; ``eps`` is the empty word."""
     text = text.strip()
     if not text or text == "eps":
         return EPS
-    if letters is not None:
-        try:
-            return tuple(map(letters.__getitem__, text.split()))
-        except KeyError as exc:
-            raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet") from None
     word = tuple(map(sys.intern, text.split()))
     for letter in word:
         if not _LETTER_RE.match(letter):
@@ -107,14 +96,8 @@ def word_to_str(w: Word) -> str:
     return " ".join(w) if w else "eps"
 
 
-def check_alphabet(w: Sequence[str], alphabet: Iterable[str]) -> None:
-    """Raise AlphabetError if any letter of w is not in alphabet.
-
-    A set or frozenset alphabet is used as it is; any other is copied into one.
-    """
-    allowed = alphabet if isinstance(alphabet, (set, frozenset)) else set(alphabet)
-    if allowed.issuperset(w):
-        return
-    for letter in w:
-        if letter not in allowed:
-            raise AlphabetError(f"letter {letter!r} outside alphabet")
+def check_alphabet(w: Sequence[str], alphabet: set[str] | frozenset[str]) -> None:
+    """Raise AlphabetError if any letter of w is not in the set alphabet."""
+    if not alphabet.issuperset(w):
+        letter = next(x for x in w if x not in alphabet)
+        raise AlphabetError(f"letter {letter!r} outside alphabet")

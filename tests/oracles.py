@@ -196,7 +196,7 @@ def resolve_ambiguity(a, p):
     the same normal form (Bergman's diamond lemma, for one ambiguity)."""
     oracle = LeftmostOracle(p.rules)
     forms = []
-    for pos, rid in ((a.offset1, a.rule1), (a.offset2, a.rule2)):
+    for pos, rid in ((0, a.rule1), (a.offset2, a.rule2)):
         w = rewrite_at(a.witness, pos, p.rules[rid])
         forms.append(Polynomial.zero() if w is None else oracle.normalize(w)[0])
     return forms[0] == forms[1]

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncrewrite import (
     NILPOTENCY,
@@ -9,6 +11,7 @@ from ncrewrite import (
     AlphabetError,
     Move,
     Polynomial,
+    Presentation,
     Rule,
     TMConfig,
     TMSpec,
@@ -21,10 +24,12 @@ from ncrewrite import (
     normalize,
     parse_presentation,
     parse_word,
+    psi_alphabet,
     tm_step,
     zerodivisor_presentation,
 )
 from ncrewrite.groebner import audit_orientation
+from ncrewrite.orders import DEGLEX, ReductionOrder
 from ncrewrite.words import check_alphabet
 from oracles import rewrite_at, tiny_halting_machine, tiny_looping_machine
 
@@ -60,9 +65,9 @@ class TestNilpotencyPresentation:
 
     def test_closure_and_orientation(self, p_nilp):
         for r in p_nilp.rules:
-            check_alphabet(r.lhs, p_nilp.alphabet)
+            check_alphabet(r.lhs, p_nilp.letters)
             if r.rhs is not None:
-                check_alphabet(r.rhs, p_nilp.alphabet)
+                check_alphabet(r.rhs, p_nilp.letters)
         assert audit_orientation(p_nilp) == []
 
 
@@ -82,9 +87,9 @@ class TestZeroDivisorPresentation:
 
     def test_closure_and_orientation(self, p_zd):
         for r in p_zd.rules:
-            check_alphabet(r.lhs, p_zd.alphabet)
+            check_alphabet(r.lhs, p_zd.letters)
             if r.rhs is not None:
-                check_alphabet(r.rhs, p_zd.alphabet)
+                check_alphabet(r.rhs, p_zd.letters)
         assert audit_orientation(p_zd) == []
 
 
@@ -194,6 +199,19 @@ class TestPresentationText:
             assert q.rules == p.rules
             assert q.order.kind == p.order.kind
             assert q.construction == p.construction
+
+    @given(data=st.data())
+    def test_roundtrip_random(self, data):
+        alphabet = tuple(data.draw(st.lists(st.sampled_from(psi_alphabet()), min_size=1, unique=True)))
+        word = st.lists(st.sampled_from(alphabet), max_size=5).map(tuple)
+        # a tag is one line of text with no surrounding whitespace
+        tag = st.text().filter(lambda s: s == s.strip() and s.splitlines() in ([], [s]))
+        rules = tuple(data.draw(st.lists(st.builds(
+            Rule, word.filter(bool), st.none() | word, tag), max_size=8)))
+        p = Presentation(rules, ReductionOrder(DEGLEX, alphabet))
+        q = parse_presentation(format_presentation(p))
+        assert (q.alphabet, q.order.kind, q.construction) == (alphabet, DEGLEX, "custom")
+        assert q.rules == p.rules
 
     def test_parsed_presentation_rewrites(self, p_nilp):
         q = parse_presentation(format_presentation(p_nilp))

@@ -21,7 +21,7 @@ from oracles import resolve_ambiguity
 
 
 def as_tuple(a):
-    return (a.kind, a.rule1, a.rule2, a.witness, a.offset1, a.offset2)
+    return (a.kind, a.rule1, a.rule2, a.witness, a.offset2)
 
 
 def as_set(ambiguities):
@@ -37,19 +37,18 @@ def naive_ambiguity_scan(p):
             for k in range(1, len(lhs1)):
                 suffix = lhs1[k:]
                 if len(suffix) < len(lhs2) and lhs2[:len(suffix)] == suffix:
-                    out.append(Ambiguity(OVERLAP, r1, r2, lhs1 + lhs2[len(suffix):], 0, k))
+                    out.append(Ambiguity(OVERLAP, r1, r2, lhs1 + lhs2[len(suffix):], k))
             for i in range(len(lhs1) - len(lhs2) + 1):
                 if lhs1[i:i + len(lhs2)] == lhs2:
                     if r1 == r2 and len(lhs1) == len(lhs2):
                         continue
-                    out.append(Ambiguity(INCLUSION, r1, r2, lhs1, 0, i))
+                    out.append(Ambiguity(INCLUSION, r1, r2, lhs1, i))
     return out
 
 
 def synthetic(rules):
     order = ReductionOrder(DEGLEX, ("a0", "a1", "a2", "a3"))
-    letters = ("a0", "a1", "a2", "a3")
-    return Presentation(letters, tuple(rules), order)
+    return Presentation(tuple(rules), order)
 
 
 lhs_words = st.lists(st.sampled_from(("a0", "a1", "a2")), min_size=1, max_size=5).map(tuple)

@@ -72,7 +72,7 @@ class TestLockstep:
         # R t -> 0 (R s -> 0) kills every step's word, the expected side too
         # if it were normalized with the rules under test
         p = p_nilp if construction == NILPOTENCY else p_zd
-        broken = Presentation(p.alphabet, p.rules + (Rule(("R", mover), None),), p.order, p.construction)
+        broken = Presentation(p.rules + (Rule(("R", mover), None),), p.order, p.construction)
         report = lockstep(minsky, self.RUNNING, 5, construction, presentation=broken)
         assert report.divergence == 0
         rec = report.records[0]
@@ -205,7 +205,7 @@ class TestConstructionContract:
             cancellation_probe(5, 12, presentation=p_nilp)
 
     def test_custom_presentation_allowed(self, minsky, p_nilp):
-        custom = Presentation(p_nilp.alphabet, p_nilp.rules, p_nilp.order)
+        custom = Presentation(p_nilp.rules, p_nilp.order)
         assert custom.construction == "custom"
         assert nilpotent_bounded(minsky, self.C, 5, presentation=custom).value == 1
         assert annihilate_bounded(minsky, self.C, 5, presentation=custom).value == 1
@@ -236,27 +236,27 @@ class TestCancellationProbe:
         # configuration words come from the tiny machine's own Q<i> and a<k> letters
         p = zerodivisor_presentation(tiny_halt)
         assert cancellation_probe(50, 10, seed=42, presentation=p) == []
-        q = Presentation(p.alphabet, p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
+        q = Presentation(p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
         violations = cancellation_probe(50, 10, seed=42, presentation=q)
         assert any(decode_structure(x, ZERO_DIVISOR) is not None for x, _, _ in violations)
         assert all(set(x) <= q.letters for x, _, _ in violations)
 
     def test_presentation_without_machine_letters(self):
         letters = ("t", "s", "R")
-        p = Presentation(letters, (Rule(("R", "t"), None),), ReductionOrder(DEGLEX, letters))
+        p = Presentation((Rule(("R", "t"), None),), ReductionOrder(DEGLEX, letters))
         violations = cancellation_probe(30, 6, seed=1, presentation=p)
         assert violations and all(set(x) <= p.letters for x, _, _ in violations)
 
     def test_every_word_zero(self):
         # no sampled word has a nonzero normal form: an error, not a hang
         letters = ("t", "s", "R")
-        p = Presentation(letters, tuple(Rule((x,), None) for x in letters), ReductionOrder(DEGLEX, letters))
+        p = Presentation(tuple(Rule((x,), None) for x in letters), ReductionOrder(DEGLEX, letters))
         with pytest.raises(ValueError, match="nonzero normal form"):
             cancellation_probe(3, 4, presentation=p)
 
     def test_reports_violations(self, p_zd):
         # with R t -> 0 added, a word ending in R loses its right t
-        q = Presentation(p_zd.alphabet, p_zd.rules + (Rule(("R", "t"), None),), p_zd.order, p_zd.construction)
+        q = Presentation(p_zd.rules + (Rule(("R", "t"), None),), p_zd.order, p_zd.construction)
         violations = cancellation_probe(50, 10, seed=42, presentation=q)
         assert any(kind == "right-t" for _, kind, _ in violations)
         for x, kind, n in violations:
@@ -275,7 +275,7 @@ class TestAgainstReference:
     def test_probe_violations(self, machine, broken, p_zd, tiny_halt):
         p = p_zd if machine == "minsky" else zerodivisor_presentation(tiny_halt)
         if broken:
-            p = Presentation(p.alphabet, p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
+            p = Presentation(p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
         found = 0
         for seed in range(3):
             for max_len in (4, 12):

@@ -79,7 +79,7 @@ def test_synthetic_presentations(data):
         # rhs shorter than lhs, so the rule set terminates
         rhs = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(LETTERS), max_size=len(lhs) - 1).map(tuple)))
         rules.append(Rule(lhs, rhs))
-    p = Presentation(LETTERS, tuple(rules), ReductionOrder(DEGLEX, LETTERS))
+    p = Presentation(tuple(rules), ReductionOrder(DEGLEX, LETTERS))
     y = normal_word(data.draw(word), p)
     assume(y is not None)
     assert_tail_agrees(data.draw(word), y, p, data.draw(st.integers(0, 40)))

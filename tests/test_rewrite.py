@@ -66,7 +66,7 @@ def naive_scan_by_length(patterns, word):
 class TestPolynomial:
     def test_zero(self):
         assert Polynomial.zero().is_zero()
-        assert (Polynomial.from_word(("t",)) + Polynomial.from_word(("t",), -1)).is_zero()
+        assert (Polynomial.from_word(("t",)) + Polynomial({("t",): -1})).is_zero()
 
     def test_concat_distributes(self):
         x = Polynomial.from_word(("a0",)) + Polynomial.from_word(("a1",))
@@ -79,7 +79,7 @@ class TestPolynomial:
             Polynomial.from_word(("t", "R"))
 
     def test_format_parse_roundtrip(self):
-        x = Polynomial.from_word(("t", "R"), Fraction(1, 2)) + Polynomial.from_word(("a0",), -3)
+        x = Polynomial({("t", "R"): Fraction(1, 2)}) + Polynomial({("a0",): -3})
         y = Polynomial({parse_word("a0"): Fraction(-3), parse_word("t R"): Fraction(1, 2)})
         assert format_polynomial(x) == "-3 * a0 + 1/2 * t R"
         # equal polynomials, built apart, format to one interned string
@@ -87,8 +87,11 @@ class TestPolynomial:
         assert format_polynomial(Polynomial.zero()) == "0"
 
     def test_from_word_zero_coefficient(self):
-        assert Polynomial.from_word(("t", "R"), 0).is_zero()
-        assert Polynomial.from_word(("t", "R"), Fraction(0)) == Polynomial.zero()
+        # a zero coefficient keeps no term, so from_word's one term can only cancel
+        w = ("t", "R")
+        assert Polynomial({w: 0}).is_zero()
+        assert Polynomial({w: Fraction(0)}) == Polynomial.zero()
+        assert (Polynomial.from_word(w) + Polynomial({w: Fraction(-1)})).terms == {}
 
     def test_from_word_keys_by_tuple(self):
         (w,) = Polynomial.from_word(["t", "R"]).terms
@@ -97,9 +100,10 @@ class TestPolynomial:
     def test_from_word_equals_constructor(self):
         w = ("t", "a0", "R")
         assert Polynomial.from_word(w) == Polynomial({w: 1})
-        assert Polynomial.from_word(w, -2) == Polynomial({w: Fraction(-2)})
-        assert Polynomial.from_word(list(w), Fraction(1, 3)) == Polynomial({w: Fraction(1, 3)})
-        assert Polynomial.from_word(w).terms == {w: Fraction(1)}
+        assert Polynomial.from_word(list(w)) == Polynomial({w: Fraction(1)})
+        assert Polynomial({w: -2}) == Polynomial({w: Fraction(-2)})
+        ((v, c),) = Polynomial.from_word(w).terms.items()
+        assert (v, c) == (w, Fraction(1)) and type(c) is Fraction
 
     def test_normal_form_is_fresh(self, p_nilp):
         w = parse_word("R a0 a1 R")  # already normal
@@ -297,7 +301,7 @@ class TestRedexChoice:
             rhs = data.draw(st.one_of(
                 st.none(), st.lists(st.sampled_from(alphabet), max_size=len(lhs) - 1).map(tuple)))
             rules.append(Rule(lhs, rhs))
-        p = Presentation(alphabet, tuple(rules), ReductionOrder(DEGLEX, alphabet))
+        p = Presentation(tuple(rules), ReductionOrder(DEGLEX, alphabet))
         w = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=30)))
         oracle = LeftmostOracle(rules)
         nf, steps = normalize(Polynomial.from_word(w), p)
@@ -350,7 +354,7 @@ class TestPolynomialNormalize:
             nf, n = oracle.normalize(w)
             steps += n
             for v, d in nf.terms.items():
-                total = total + Polynomial.from_word(v, c * d)
+                total = total + Polynomial({v: c * d})
         return total, steps
 
     def test_cancelling_pair(self, p_nilp):
@@ -360,7 +364,7 @@ class TestPolynomialNormalize:
         assert normalize(x, p_nilp) == (Polynomial.zero(), 4 + 3)
         assert self.reference(x.terms, p_nilp) == (Polynomial.zero(), 7)
         y = Polynomial({w: 1, w2: 2})
-        assert normalize(y, p_nilp) == (Polynomial.from_word(parse_word("R Q4 P1 a1 a0 R t"), 3), 7)
+        assert normalize(y, p_nilp) == (Polynomial({parse_word("R Q4 P1 a1 a0 R t"): 3}), 7)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -402,6 +406,14 @@ class TestPolynomialNormalize:
         assert exc.value.partial == oracle.normalize(w2, max_steps=k)[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_normalize_is_idempotent(p_nilp, p_zd, data):
+    p = data.draw(st.sampled_from((p_nilp, p_zd)))
+    nf = normalize(Polynomial.from_word(draw_word(data, p)), p)[0]
+    assert normalize(nf, p) == (nf, 0)
+
+
 class TestEqualInAlgebra:
     """x = y in the algebra exactly when their normal forms agree."""
 
@@ -441,7 +453,7 @@ def test_synthetic_presentation_descent_required():
     order = ReductionOrder(DEGLEX, ("a0", "a1"))
     with pytest.raises(ValueError):
         Rule((), ("a0",))
-    p = Presentation(("a0", "a1"), (Rule(("a0", "a1"), ("a1", "a0")),), order)
+    p = Presentation((Rule(("a0", "a1"), ("a1", "a0")),), order)
     nf, _ = normalize(Polynomial.from_word(("a0", "a1", "a1")), p)
     assert nf == Polynomial.from_word(("a1", "a1", "a0"))
 
@@ -470,23 +482,32 @@ class TestRule:
         rule = Rule(lhs=("t",), rhs=None)
         assert (rule.lhs, rule.rhs, rule.tag) == (("t",), None, "")
 
+    def test_make_and_replace_check_lhs(self):
+        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
+            Rule._make(((), None, ""))
+        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
+            Rule(("t",), None)._replace(lhs=())
+        rule = Rule(("t",), None)._replace(tag="x")
+        assert type(rule) is Rule and rule == Rule(("t",), None, "x")
+        assert Rule._make([("t",), ("a0",)]) == Rule(("t",), ("a0",))
+
 
 class TestPresentationLetters:
     def test_rhs_letter_outside_alphabet(self):
         letters = ("t", "a0")
         with pytest.raises(AlphabetError, match=r"^letter 'R' outside alphabet in rule 0: t a0 -> R$"):
-            Presentation(letters, (Rule(("t", "a0"), ("R",)),), ReductionOrder(DEGLEX, letters))
+            Presentation((Rule(("t", "a0"), ("R",)),), ReductionOrder(DEGLEX, letters))
 
     def test_first_bad_letter_named(self):
         letters = ("t", "a0")
         rules = (Rule(("t",), None), Rule(("a0", "t"), ("t", "a0")), Rule(("a0", "Q1"), ("s",)), Rule(("s",), None))
         with pytest.raises(AlphabetError, match=r"^letter 'Q1' outside alphabet in rule 2: a0 Q1 -> s$"):
-            Presentation(letters, rules, ReductionOrder(DEGLEX, letters))
+            Presentation(rules, ReductionOrder(DEGLEX, letters))
         with pytest.raises(AlphabetError, match=r"^letter 's' outside alphabet in rule 0: s -> 0$"):
-            Presentation(letters, rules[3:], ReductionOrder(DEGLEX, letters))
+            Presentation(rules[3:], ReductionOrder(DEGLEX, letters))
 
     def test_letters_inside_alphabet(self):
         letters = ("t", "a0")
-        p = Presentation(letters, (Rule(("t", "a0"), ("a0", "t")), Rule(("a0", "a0"), None)),
+        p = Presentation((Rule(("t", "a0"), ("a0", "t")), Rule(("a0", "a0"), None)),
                          ReductionOrder(DEGLEX, letters))
         assert normalize(Polynomial.from_word(("t", "a0")), p)[0] == Polynomial.from_word(("a0", "t"))

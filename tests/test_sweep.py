@@ -88,7 +88,7 @@ def family_presentation(arity, before=(), after=(), span=("a0", "a1")):
     else:
         family = [Rule(("Q0", x), (x, "Q0")) for x in span]
     rules = (*before, *family, *after)
-    return Presentation(alphabet, rules, ReductionOrder(DEGLEX, alphabet)), len(before), len(family)
+    return Presentation(rules, ReductionOrder(DEGLEX, alphabet)), len(before), len(family)
 
 
 class TestDetection:
@@ -104,7 +104,7 @@ class TestDetection:
 
     def test_not_by_name(self, p_nilp, p_zd):
         for p in (p_nilp, p_zd):
-            blank = Presentation(p.alphabet, tuple(Rule(r.lhs, r.rhs) for r in p.rules), p.order)
+            blank = Presentation(tuple(Rule(r.lhs, r.rhs) for r in p.rules), p.order)
             assert blank.construction == "custom"
             assert blank.sweeps == p.sweeps
 

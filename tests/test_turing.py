@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncrewrite import (
     Move,
@@ -21,9 +23,9 @@ class TestMinskyTable:
     def test_entry_counts(self, minsky):
         assert minsky.states == 7 and minsky.colors == 4
         assert len(minsky.table) == 28
-        assert len(minsky.left_pairs()) == 13
-        assert len(minsky.right_pairs()) == 14
-        assert minsky.stop_pairs() == [(4, 3)]
+        moves = [e.direction for e in minsky.table.values() if e is not STOP]
+        assert (moves.count("L"), moves.count("R")) == (13, 14)
+        assert [k for k, e in minsky.table.items() if e is STOP] == [(4, 3)]
 
     @pytest.mark.parametrize("pair,expected", [
         ((0, 0), Move("L", 4, 1)),
@@ -172,6 +174,11 @@ class TestTextFormats:
 
     def test_config_roundtrip(self):
         c = TMConfig((1, 0, 2), 2, 3, (0, 1))
+        assert parse_config(format_config(c)) == c
+
+    @given(st.builds(TMConfig, st.lists(st.integers(0)).map(tuple), st.integers(0), st.integers(0),
+                     st.lists(st.integers(0)).map(tuple)))
+    def test_config_roundtrip_random(self, c):
         assert parse_config(format_config(c)) == c
 
     def test_config_empty_tapes(self):

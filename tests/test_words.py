@@ -37,16 +37,14 @@ def test_parse_rejects_junk(bad):
         parse_word(bad)
 
 
-def test_parse_through_letter_table():
-    table = {x: x for x in psi_alphabet()}
-    w = parse_word(" L a0\tR ", table)
-    assert w == ("L", "a0", "R")
-    assert all(x is table[x] for x in w)
-    assert parse_word(" eps ", table) == ()
-    with pytest.raises(AlphabetError, match=r"^letter 'Q9' outside alphabet$"):
-        parse_word("t Q9 R", table)
-    with pytest.raises(AlphabetError, match=r"^letter 'x' outside alphabet$"):
-        parse_word("x", table)  # a table decides membership, not the letter shape
+def test_parsed_rule_letters_are_the_alphabets(minsky):
+    # a parsed rule hands out the alphabet's own string for each letter
+    for construction in ("nilpotency", "zerodivisor"):
+        q = parse_presentation(format_presentation(make_presentation(minsky, construction)))
+        own = {x: x for x in q.alphabet}
+        for rule in q.rules:
+            for x in rule.lhs + (rule.rhs or ()):
+                assert x is own[x], (rule, x)
 
 
 def test_letter_kind():
@@ -97,8 +95,7 @@ def test_letters_are_shared(minsky):
 
 
 def test_check_alphabet():
-    # a tuple alphabet is copied into a set, a frozenset is used as it is
-    for alphabet in (phi_alphabet(), frozenset(phi_alphabet())):
+    for alphabet in (set(phi_alphabet()), frozenset(phi_alphabet())):
         check_alphabet(("t", "a0"), alphabet)
         check_alphabet((), alphabet)
         with pytest.raises(AlphabetError, match="^letter 's' outside alphabet$"):
