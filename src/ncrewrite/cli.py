@@ -43,8 +43,9 @@ def _load_tm(path: str | None):
     return parse_tm_spec(Path(path).read_text())
 
 
-def _load_config(path: str):
-    return parse_config(Path(path).read_text())
+def _machine(args):
+    """The machine (``--tm``, or Minsky's) and the start configuration (``--config``)."""
+    return _load_tm(args.tm), parse_config(Path(args.config).read_text())
 
 
 def cmd_normalize(args) -> int:
@@ -98,8 +99,7 @@ def cmd_gen_presentation(args) -> int:
 
 
 def cmd_tm_run(args) -> int:
-    spec = _load_tm(args.tm)
-    c0 = _load_config(args.config)
+    spec, c0 = _machine(args)
     result = tm_run(spec, c0, args.budget)
     if result.halted:
         print(f"halted after {result.steps} steps")
@@ -110,8 +110,7 @@ def cmd_tm_run(args) -> int:
 
 
 def cmd_lockstep(args) -> int:
-    spec = _load_tm(args.tm)
-    c0 = _load_config(args.config)
+    spec, c0 = _machine(args)
     report = lockstep(spec, c0, args.steps, args.construction)
     for n, rec in enumerate(report.records):
         status = "ok" if rec.matched else "DIVERGED"
@@ -134,21 +133,18 @@ def _print_outcome(kind: str, outcome) -> int:
 
 
 def cmd_nilpotent(args) -> int:
-    spec = _load_tm(args.tm)
-    c0 = _load_config(args.config)
+    spec, c0 = _machine(args)
     return _print_outcome("nilpotency", nilpotent_bounded(spec, c0, args.nmax))
 
 
 def cmd_annihilate(args) -> int:
-    spec = _load_tm(args.tm)
-    c0 = _load_config(args.config)
+    spec, c0 = _machine(args)
     outcome = annihilate_bounded(spec, c0, args.nmax, NILPOTENCY)
     return _print_outcome("left annihilation by t^N", outcome)
 
 
 def cmd_zerodivisor(args) -> int:
-    spec = _load_tm(args.tm)
-    c0 = _load_config(args.config)
+    spec, c0 = _machine(args)
     outcome = zerodivisor_witness_bounded(spec, c0, args.nmax)
     word = encode_config(c0, ZERO_DIVISOR)
     if outcome.witnessed:
@@ -179,6 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
+    def add_machine(name, func, **kwargs):  # for the commands that call _machine
+        sp = add(name, func, **kwargs)
+        sp.add_argument("--tm")
+        sp.add_argument("--config", required=True)
+        return sp
+
     sp = add("normalize", cmd_normalize, help="normalize a word under a presentation")
     sp.add_argument("--presentation", required=True)
     sp.add_argument("--word", required=True)
@@ -197,22 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--construction", choices=[NILPOTENCY, ZERO_DIVISOR], required=True)
     sp.add_argument("--out")
 
-    sp = add("tm-run", cmd_tm_run, help="run a Turing machine")
-    sp.add_argument("--tm")
-    sp.add_argument("--config", required=True)
+    sp = add_machine("tm-run", cmd_tm_run, help="run a Turing machine")
     sp.add_argument("--budget", type=int, required=True)
 
-    sp = add("lockstep", cmd_lockstep, help="machine vs rewriting, step by step")
-    sp.add_argument("--tm")
-    sp.add_argument("--config", required=True)
+    sp = add_machine("lockstep", cmd_lockstep, help="machine vs rewriting, step by step")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--construction", choices=[NILPOTENCY, ZERO_DIVISOR], required=True)
 
     for name, func in [("nilpotent", cmd_nilpotent), ("annihilate", cmd_annihilate),
                        ("zerodivisor", cmd_zerodivisor)]:
-        sp = add(name, func, help=f"bounded {name} decider")
-        sp.add_argument("--tm")
-        sp.add_argument("--config", required=True)
+        sp = add_machine(name, func, help=f"bounded {name} decider")
         sp.add_argument("--nmax", type=int, required=True)
 
     sp = add("cancellation-probe", cmd_cancellation_probe,

@@ -177,7 +177,9 @@ def format_presentation(p: Presentation) -> str:
         f"alphabet: {' '.join(p.alphabet)}",
         f"order: {p.order.kind}",
     ]
-    for lhs, rhs, tag in p.rules:
+    for rid, (lhs, rhs, tag) in enumerate(p.rules):
+        if tag != tag.strip() or len(tag.splitlines()) > 1:  # it would not read back as it is
+            raise ValueError(f"rule {rid}: tag {tag!r} is not one line without surrounding whitespace")
         comment = f"  # {tag}" if tag else ""
         lines.append(f"rule: {word_to_str(lhs)} -> {'0' if rhs is None else word_to_str(rhs)}{comment}")
     return "\n".join(lines) + "\n"
@@ -208,10 +210,10 @@ def parse_presentation(text: str) -> Presentation:
     add = rules.append
     for raw in rule_lines:
         body, _, comment = raw.split(":", 1)[1].partition("#")
-        lhs_text, arrow, rhs_text = body.partition("->")
-        if not arrow:
-            raise ValueError(f"bad rule line: {raw!r}")
+        lhs_text, _, rhs_text = body.partition("->")
         lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
+        if not rhs_tokens:  # no arrow, or nothing after it
+            raise ValueError(f"bad rule line: {raw!r}")
         try:
             lhs = EPS if lhs_tokens == _EPS_TOKENS else tuple(map(letter, lhs_tokens))
             rhs = (None if rhs_tokens == _ZERO_TOKENS else EPS if rhs_tokens == _EPS_TOKENS

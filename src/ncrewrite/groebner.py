@@ -77,11 +77,9 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
 
     if p.matcher.inclusion_free():
         return out
-    lengths = p.matcher.lengths
     for r1, lhs1 in enumerate(lhss):
-        hits = p.matcher.redexes(lhs1)  # by position, then rule id
+        hits = p.matcher.redexes(lhs1)  # by position, length of lhs, then rule id
         hits.remove((0, r1))  # lhs1 itself
-        hits.sort(key=lambda hit: (hit[0], lengths[hit[1]]))  # stable: ids stay ascending
         for pos, r2 in hits:
             out.append(Ambiguity(INCLUSION, r1, r2, witness=lhs1, offset2=pos))
     return out

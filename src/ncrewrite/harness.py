@@ -29,7 +29,6 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class LockstepReport:
-    construction: str
     records: tuple[StepRecord, ...]
     divergence: Optional[int]
     halted: bool
@@ -108,7 +107,7 @@ def lockstep(
             divergence = n
             break
         c, w, nxt = nxt, w_next, after
-    return LockstepReport(construction, tuple(records), divergence, halted)
+    return LockstepReport(tuple(records), divergence, halted)
 
 
 def annihilate_bounded(
@@ -127,11 +126,11 @@ def annihilate_bounded(
         raise ValueError("nmax must be >= 1")
     c0.validate(spec)
     p = _presentation(spec, construction, presentation)
-    x, _ = normalize(Polynomial.from_word(encode_config(c0, construction)), p)
-    if x.is_zero():
+    w = encode_config(c0, construction)
+    check_alphabet(w + ("t",), p.letters)
+    w, _ = _reduce_word(w, p, DEFAULT_BUDGET)
+    if w is None:
         return DecisionOutcome.found(1)
-    (w,) = x.terms
-    check_alphabet(("t",), p.letters)
     for n in range(1, nmax + 1):
         w, _ = _reduce_word(("t",) + w, p, DEFAULT_BUDGET, len(w))
         if w is None:
@@ -220,6 +219,7 @@ def cancellation_probe(
     colors = sum(x.startswith("a") for x in p.alphabet)
     # configuration words only over a full zero-divisor alphabet of that shape
     structured = states and colors and p.letters.issuperset(psi_alphabet(states, colors))
+    check_alphabet(("t", "s"), p.letters)
     violations: list[tuple[Word, str, int]] = []
     produced = 0
     draws = _DRAWS_PER_SAMPLE * samples
@@ -231,8 +231,6 @@ def cancellation_probe(
         nf, steps = normalize(Polynomial.from_word(x), p)
         if nf.is_zero():
             continue
-        if not produced:
-            check_alphabet(("t", "s"), p.letters)
         produced += 1
         normal = len(x) if steps == 0 else 0  # x is normal iff no step was made
         right_normal = _normal_powers(x, p, "t", 3) if steps == 0 else 0

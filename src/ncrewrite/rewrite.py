@@ -6,7 +6,7 @@ words.  ``Polynomial`` (a formal rational combination of words) is a thin
 wrapper around a dict from word to coefficient, kept for polynomial text
 and the products the bounded deciders build; ``normalize`` runs the word
 normalizer on each of its terms and adds up the coefficients of equal
-normal forms.
+normal forms; ``BudgetExhausted.partial`` is the word a reduction stopped at.
 
 Normalization reads a word once through a deterministic Aho-Corasick
 automaton over all rule left-hand sides, one lookup per letter.  The
@@ -24,12 +24,13 @@ the whole run of S letters ahead in one operation and counts one step per
 crossing, so normal forms, step counts and ``BudgetExhausted`` are those of
 the elementary loop.  Per machine step, ``normalize(t * encode(c))`` on
 Minsky's machine at 100 / 800 / 6400 letters costs about 30 / 105 / 810 µs
-(nilpotency) and 35 / 114 / 1070 µs (zero-divisor), against 204 / 1980 /
-13980 and 257 / 2050 / 10280 µs with one rule per crossing, and 2-3 / 4-5 /
+(nilpotency) and 35 / 114 / 1070 µs (zero-divisor), against 2-3 / 4-5 /
 19-24 µs for ``tm_step`` (best of 30, 2-vCPU shared host, Python 3.11.7).
 At 800 letters about half of that is the entry ``Matcher.redexes`` scan
-(38-52 µs), which walks the trie only from the letters that begin an lhs,
-and half the reduction loop (43-57 µs); each reads every letter once.
+(38-52 µs), which walks the trie only from the letters that begin an lhs
+and reports the hits in the order it finds them (position, then lhs
+length, then rule id), and half the reduction loop (43-57 µs); each reads
+every letter once.
 
 Normal tails.  The bounded deciders multiply a word the engine has just
 normalized by one letter, so ``_reduce_word``, the reduction loop behind
@@ -39,29 +40,27 @@ least as many letters as the depth of its state (``horizon`` bounds the
 depth) with no redex pending, no pattern can end in the rest of the tail
 (Aho & Corasick, CACM 1975), and the loop returns it unread.  No step is
 skipped, so normal forms, step counts and ``BudgetExhausted`` stay as a
-full read gives them, for any rule set.  ``annihilate_bounded`` and
-``cancellation_probe`` call the loop directly, which skips ``normalize``'s
-``Polynomial`` wrapper, alphabet check and entry scan as well; in a traced
-benchmark run, the rewriting they do shows as their own time.  ``lockstep``
-and ``nilpotent_bounded`` still go through ``normalize`` and ``concat``, and
+full read gives them, for any rule set.  ``annihilate_bounded`` (on the
+configuration word and each power) and ``cancellation_probe`` check the
+alphabet once and call the loop directly; in a traced benchmark run, the
+rewriting they do shows as their own time.  ``lockstep`` and
+``nilpotent_bounded`` still go through ``normalize`` and ``concat``, and
 every ``normalize`` call through the entry scan, because the benchmark's
 traced mode requires calls on those spans.
 
 Compile cost.  Compiling Minsky's machine, the 1560 nilpotency and 441
 zero-divisor rules with both automata and sweep tables, costs about 5.9 ms
-against 7.5 ms with a frozen-dataclass ``Rule`` and a deque-driven build
-(best of 100, both versions interleaved in one process, 2-vCPU shared host,
-Python 3.11.7).  A ``Rule`` is a named tuple whose ``__new__`` checks the
-lhs, about 0.4 µs to build against 0.8-1.0 µs; reading one of its fields
-costs about 20 ns more than on the dataclass, so the reduction loop reads
-``rhs`` once per step.  ``Matcher`` keeps no per-state lists while it
-inserts the patterns, and folds the failure links over one breadth-first
-list of states that grows as the loop reads it: 1.6 against 2.4 ms on the
-nilpotency rules (1953 states).  A ``Presentation`` checks every rule letter
-against its alphabet when it is built, one ``issuperset`` pass per side of
-the rules, about 0.5 ms of the 2.5 ms that ``nilpotency_presentation``
-takes; the automaton is built on first use, once per presentation, and
-nothing is cached across presentations.
+(best of 100, 2-vCPU shared host, Python 3.11.7).  A ``Rule`` is a named
+tuple whose ``__new__`` checks the lhs, about 0.4 µs to build; reading one
+of its fields costs about 20 ns more than reading a dataclass attribute, so
+the reduction loop reads ``rhs`` once per step.  ``Matcher`` keeps no
+per-state lists while it inserts the patterns, and folds the failure links
+over one breadth-first list of states that grows as the loop reads it:
+1.6 ms on the nilpotency rules (1953 states).  A ``Presentation`` checks
+every rule letter against its alphabet when it is built, one
+``issuperset`` pass per side of the rules, about 0.5 ms of the 2.5 ms that
+``nilpotency_presentation`` takes; the automaton is built on first use,
+once per presentation, and nothing is cached across presentations.
 """
 
 from __future__ import annotations
@@ -254,14 +253,14 @@ class Matcher:
         self._horizon = horizon
 
     def redexes(self, word: Word) -> list[tuple[int, int]]:
-        """All (position, pattern id) occurrences, sorted by position then id.
+        """All (position, pattern id) occurrences, by position, length, then id.
 
         An occurrence begins with a letter that begins a pattern, so the
         pass over the word only tests each letter against those, and each
         such letter starts one walk down the trie, at most as long as the
         longest pattern.  A walk stops where a transition leaves the trie
         (the state's depth falls short of the letters read); each state on
-        it reports its own patterns.
+        it reports its own patterns, lowest id first, as they are returned.
         """
         goto, out, depth, lengths = self._goto, self._out, self._depth, self.lengths
         root = goto[0]
@@ -283,7 +282,6 @@ class Matcher:
                 d += 1
                 if depth[s] != d:
                     break
-        found.sort()  # by position already; the ids at one position by length
         return found
 
     def first_letters(self) -> KeysView[str]:
@@ -393,9 +391,9 @@ class Presentation:
 
 
 class BudgetExhausted(RuntimeError):
-    """Normalization ran out of rewrite steps; signals a broken rule set."""
+    """Normalization ran out of rewrite steps (a broken rule set); ``partial`` is the word it stopped at."""
 
-    def __init__(self, partial: Polynomial, steps: int, remaining_redexes: int):
+    def __init__(self, partial: Word, steps: int, remaining_redexes: int):
         super().__init__(
             f"rewrite budget exhausted after {steps} steps "
             f"({remaining_redexes} redexes remaining)"
@@ -452,9 +450,7 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
             return tuple(letters), steps
         if steps >= budget:
             partial = tuple(letters) + tuple(reversed(pending))
-            raise BudgetExhausted(
-                Polynomial.from_word(partial), steps, len(matcher.redexes(partial))
-            )
+            raise BudgetExhausted(partial, steps, len(matcher.redexes(partial)))
         span = sweeps.get(rid)
         if span is not None and states[pos] == 0:
             # This rule is one crossing, and each span letter pending behind

@@ -68,16 +68,8 @@ def phi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
 
 
 def psi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
-    """Alphabet of the zero-divisor system, in precedence order (greatest first)."""
-    return (
-        "t",
-        "s",
-        *(cell(k) for k in range(colors)),
-        *(state_mark(i) for i in range(states)),
-        *(color_mark(j) for j in range(colors)),
-        "L",
-        "R",
-    )
+    """Zero-divisor alphabet, greatest first: phi's, with ``s`` after ``t`` and ``L`` before ``R``."""
+    return ("t", "s", *phi_alphabet(states, colors)[1:-1], "L", "R")
 
 
 def parse_word(text: str) -> Word:

@@ -1,11 +1,15 @@
+import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ncrewrite import format_config, format_presentation, format_tm_spec, TMConfig
-from ncrewrite.cli import main
+from ncrewrite.cli import build_parser, main
 from oracles import tiny_looping_machine
 
 
@@ -289,3 +293,82 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, (line, capsys.readouterr())
         ran += 1
     assert ran >= 11
+
+
+# Every option of every subcommand: option strings, required, default, type,
+# choices and help.  The fields, not the rendered --help, whose layout varies
+# with the Python version and the terminal width.
+MACHINE = [("--tm", False, None, None, None, None), ("--config", True, None, None, None, None)]
+CONSTRUCTION = ("--construction", True, None, None, ["nilpotency", "zerodivisor"], None)
+ARGUMENT_TABLE = {
+    "normalize": ("normalize a word under a presentation", [
+        ("--presentation", True, None, None, None, None),
+        ("--word", True, None, None, None, None),
+        ("--budget", False, 10**6, int, None, None),
+    ]),
+    "overlaps": ("list ambiguities among rule lhs words", [("--presentation", True, None, None, None, None)]),
+    "verify-order": ("audit order axioms exhaustively", [
+        ("--order", True, None, None, ["nilpotency", "zerodivisor"], None),
+        ("--max-len", True, None, int, None, None),
+        ("--alphabet", False, None, None, None, "space-separated letters (default: small sub-alphabet)"),
+    ]),
+    "gen-presentation": ("compile a TM into rules", [
+        ("--tm", False, None, None, None, "TM spec file (default: built-in Minsky UTM)"),
+        CONSTRUCTION,
+        ("--out", False, None, None, None, None),
+    ]),
+    "tm-run": ("run a Turing machine", MACHINE + [("--budget", True, None, int, None, None)]),
+    "lockstep": ("machine vs rewriting, step by step",
+                 MACHINE + [("--steps", True, None, int, None, None), CONSTRUCTION]),
+    **{name: (f"bounded {name} decider", MACHINE + [("--nmax", True, None, int, None, None)])
+       for name in ("nilpotent", "annihilate", "zerodivisor")},
+    "cancellation-probe": ("randomized right-t / left-s cancellation check", [
+        ("--samples", True, None, int, None, None),
+        ("--max-len", True, None, int, None, None),
+        ("--seed", False, 0, int, None, None),
+    ]),
+}
+
+
+def test_argument_table():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert list(sub.choices) == list(ARGUMENT_TABLE)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, helptext) for name, (helptext, _) in ARGUMENT_TABLE.items()]
+    for name, (_, options) in ARGUMENT_TABLE.items():
+        actions = [a for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)]
+        table = [(*a.option_strings, a.required, a.default, a.type, a.choices, a.help) for a in actions]
+        assert table == options, name
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(*argv, cwd=None):
+    """``python -m ncrewrite.cli ARGV`` in a process of its own, as the command runs."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "ncrewrite.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_process_help():
+    proc = run_module("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ncrewrite ") and proc.stderr == ""
+
+
+def test_process_gen_presentation_then_overlaps(tmp_path):
+    gen = run_module("gen-presentation", "--construction", "nilpotency", "--out", "nilp.rules", cwd=tmp_path)
+    assert (gen.returncode, gen.stdout, gen.stderr) == (0, "1560 rules written to nilp.rules\n", "")
+    overlaps = run_module("overlaps", "--presentation", "nilp.rules", cwd=tmp_path)
+    assert (overlaps.returncode, overlaps.stdout, overlaps.stderr) == (0, "0 ambiguities\n", "")
+
+
+def test_process_missing_config(tmp_path):
+    proc = run_module("lockstep", "--config", "missing.txt", "--steps", "1", "--construction", "nilpotency",
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "missing.txt" in proc.stderr
+    assert proc.stderr.count("\n") == 1

@@ -213,6 +213,19 @@ class TestPresentationText:
         assert (q.alphabet, q.order.kind, q.construction) == (alphabet, DEGLEX, "custom")
         assert q.rules == p.rules
 
+    @pytest.mark.parametrize("tag", [
+        "x\nrule: a0 -> eps", "x\n", "\n", " x", "x ", "\tx", "a\rb", "a\r\nb", "a\x0bb", "a\x1cb", "a\u2028b",
+    ])
+    def test_tag_that_would_not_read_back(self, tag):
+        # a line break would inject text into the file, and the parser strips a tag
+        order = ReductionOrder(DEGLEX, ("t", "a0"))
+        for rid in (0, 1):
+            rules = (Rule(("a0",), None, "fine # tag"),) * rid + (Rule(("t",), None, tag),)
+            with pytest.raises(ValueError) as exc:
+                format_presentation(Presentation(rules, order))
+            assert type(exc.value) is ValueError
+            assert str(exc.value).startswith(f"rule {rid}: tag {tag!r} ")
+
     def test_parsed_presentation_rewrites(self, p_nilp):
         q = parse_presentation(format_presentation(p_nilp))
         w = parse_word("t R a1 Q2 P3 a0 R")
@@ -259,6 +272,8 @@ class TestPresentationText:
         ("rule: t R -> a1 Q1", AlphabetError, "letter 'a1' outside alphabet in rule line: 'rule: t R -> a1 Q1'"),
         ("rule: t -> eps a0", AlphabetError, "letter 'eps' outside alphabet in rule line: 'rule: t -> eps a0'"),
         ("rule: t a0 -> s", AlphabetError, "letter 's' outside alphabet in rule line: 'rule: t a0 -> s'"),
+        ("rule: t -> ", ValueError, "bad rule line: 'rule: t -> '"),
+        ("rule: t -> # tag", ValueError, "bad rule line: 'rule: t -> # tag'"),
     ])
     def test_rule_line_errors(self, rule, error, message):
         with pytest.raises(error) as exc:

@@ -47,7 +47,7 @@ def naive_scan(patterns, word):
         for pos in range(len(word) - len(pat) + 1):
             if word[pos:pos + len(pat)] == pat:
                 hits.append((pos, pid))
-    return sorted(hits)
+    return sorted(hits, key=lambda hit: (hit[0], len(patterns[hit[1]]), hit[1]))
 
 
 def naive_scan_by_length(patterns, word):
@@ -60,7 +60,7 @@ def naive_scan_by_length(patterns, word):
     for n in {len(pat) for pat in patterns}:
         for pos in range(len(word) - n + 1):
             hits += [(pos, pid) for pid in ids.get(word[pos:pos + n], ())]
-    return sorted(hits)
+    return sorted(hits, key=lambda hit: (hit[0], len(patterns[hit[1]]), hit[1]))
 
 
 class TestPolynomial:
@@ -221,7 +221,7 @@ class TestReduceOnce:
         with pytest.raises(BudgetExhausted) as exc:
             normalize(Polynomial.from_word(parse_word("t R a1 Q2 P3 a0 R")), p_nilp, budget=1)
         assert exc.value.steps == 1
-        assert exc.value.partial == Polynomial.from_word(parse_word("R t a1 Q2 P3 a0 R"))
+        assert exc.value.partial == parse_word("R t a1 Q2 P3 a0 R")
 
     def test_strict_descent(self, p_nilp):
         # every rewrite at every redex, not only the leftmost
@@ -312,9 +312,8 @@ class TestRedexChoice:
                 normalize(Polynomial.from_word(w), p, budget=k)
             partial = exc.value.partial
             assert exc.value.steps == k
-            assert (partial, k) == oracle.normalize(w, max_steps=k)
-            (pw,) = partial.terms
-            assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], pw))
+            assert (Polynomial.from_word(partial), k) == oracle.normalize(w, max_steps=k)
+            assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], partial))
 
 
 COEFFS = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 6))
@@ -403,7 +402,7 @@ class TestPolynomialNormalize:
         with pytest.raises(BudgetExhausted) as exc:
             normalize(x, p, budget=s1 + k)
         assert exc.value.steps == s1 + k
-        assert exc.value.partial == oracle.normalize(w2, max_steps=k)[0]
+        assert Polynomial.from_word(exc.value.partial) == oracle.normalize(w2, max_steps=k)[0]
 
 
 @settings(max_examples=200, deadline=None)
