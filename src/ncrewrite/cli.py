@@ -4,6 +4,10 @@ Exit codes: 0 on success or match, 1 on divergence/violation/unknown
 (an exhausted rewrite budget leaves the answer unknown), 2 on usage
 errors (argparse default) and on bad input: a malformed or missing file,
 a letter outside the alphabet, or a negative bound.
+
+When its first argument names a subcommand, `main` registers only that
+subcommand: building the parser of all ten costs about 1 ms, more than
+some whole commands take.
 """
 
 from __future__ import annotations
@@ -163,65 +167,59 @@ def cmd_cancellation_probe(args) -> int:
     return 0 if not violations else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help line and its options, in registration order.
+# Handlers are looked up by name when a parser is built, so a wrapper that
+# replaces a ``cmd_*`` function in this module (as bench/tracing.py does) is
+# the one that runs.
+_MACHINE = [("--tm", {}), ("--config", {"required": True})]
+_CONSTRUCTION = ("--construction", {"choices": [NILPOTENCY, ZERO_DIVISOR], "required": True})
+_PRESENTATION = ("--presentation", {"required": True})
+_COMMANDS = {
+    "normalize": ("normalize a word under a presentation", [
+        _PRESENTATION, ("--word", {"required": True}), ("--budget", {"type": int, "default": DEFAULT_BUDGET})]),
+    "overlaps": ("list ambiguities among rule lhs words", [_PRESENTATION]),
+    "verify-order": ("audit order axioms exhaustively", [
+        ("--order", {"choices": [NILPOTENCY, ZERO_DIVISOR], "required": True}),
+        ("--max-len", {"type": int, "required": True}),
+        ("--alphabet", {"help": "space-separated letters (default: small sub-alphabet)"})]),
+    "gen-presentation": ("compile a TM into rules", [
+        ("--tm", {"help": "TM spec file (default: built-in Minsky UTM)"}), _CONSTRUCTION, ("--out", {})]),
+    "tm-run": ("run a Turing machine", [*_MACHINE, ("--budget", {"type": int, "required": True})]),
+    "lockstep": ("machine vs rewriting, step by step",
+                 [*_MACHINE, ("--steps", {"type": int, "required": True}), _CONSTRUCTION]),
+    **{name: (f"bounded {name} decider", [*_MACHINE, ("--nmax", {"type": int, "required": True})])
+       for name in ("nilpotent", "annihilate", "zerodivisor")},
+    "cancellation-probe": ("randomized right-t / left-s cancellation check", [
+        ("--samples", {"type": int, "required": True}), ("--max-len", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0})]),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named ``only``.
+
+    The usage line lists every subcommand either way, so an error that
+    prints it reads the same.
+    """
     parser = argparse.ArgumentParser(
         prog="ncrewrite",
         description="Free-algebra rewriting engine with Turing-machine encodings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(func=func)
-        return sp
-
-    def add_machine(name, func, **kwargs):  # for the commands that call _machine
-        sp = add(name, func, **kwargs)
-        sp.add_argument("--tm")
-        sp.add_argument("--config", required=True)
-        return sp
-
-    sp = add("normalize", cmd_normalize, help="normalize a word under a presentation")
-    sp.add_argument("--presentation", required=True)
-    sp.add_argument("--word", required=True)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    sp = add("overlaps", cmd_overlaps, help="list ambiguities among rule lhs words")
-    sp.add_argument("--presentation", required=True)
-
-    sp = add("verify-order", cmd_verify_order, help="audit order axioms exhaustively")
-    sp.add_argument("--order", choices=[NILPOTENCY, ZERO_DIVISOR], required=True)
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--alphabet", help="space-separated letters (default: small sub-alphabet)")
-
-    sp = add("gen-presentation", cmd_gen_presentation, help="compile a TM into rules")
-    sp.add_argument("--tm", help="TM spec file (default: built-in Minsky UTM)")
-    sp.add_argument("--construction", choices=[NILPOTENCY, ZERO_DIVISOR], required=True)
-    sp.add_argument("--out")
-
-    sp = add_machine("tm-run", cmd_tm_run, help="run a Turing machine")
-    sp.add_argument("--budget", type=int, required=True)
-
-    sp = add_machine("lockstep", cmd_lockstep, help="machine vs rewriting, step by step")
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--construction", choices=[NILPOTENCY, ZERO_DIVISOR], required=True)
-
-    for name, func in [("nilpotent", cmd_nilpotent), ("annihilate", cmd_annihilate),
-                       ("zerodivisor", cmd_zerodivisor)]:
-        sp = add_machine(name, func, help=f"bounded {name} decider")
-        sp.add_argument("--nmax", type=int, required=True)
-
-    sp = add("cancellation-probe", cmd_cancellation_probe,
-             help="randomized right-t / left-s cancellation check")
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-
+    if only is not None:  # unset on the full parser, whose "required: command" error names the dest
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in _COMMANDS if only is None else [only]:
+        helptext, options = _COMMANDS[name]
+        sp = sub.add_parser(name, help=helptext)
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        for option, kwargs in options:
+            sp.add_argument(option, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExhausted as exc:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ncrewrite import format_config, format_presentation, format_tm_spec, TMConfig
+import ncrewrite.cli
 from ncrewrite.cli import build_parser, main
 from oracles import tiny_looping_machine
 
@@ -341,6 +342,79 @@ def test_argument_table():
         actions = [a for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)]
         table = [(*a.option_strings, a.required, a.default, a.type, a.choices, a.help) for a in actions]
         assert table == options, name
+
+
+def outcome(argv, capsys):
+    """What ``main(argv)`` printed and returned, or the code it exited with."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["-h", "overlaps"], ["--bogus", "overlaps"], ["--", "overlaps"], ["frobnicate"],
+    *([name, "-h"] for name in ARGUMENT_TABLE),
+    ["overlaps"],  # missing required option
+    ["verify-order", "--order", "bogus", "--max-len", "1"],
+    ["verify-order", "--order", "nilpotency", "--max-len", "x"],
+    ["overlaps", "--presentation", "p.rules", "--nope"],
+    ["overlaps", "--pres", "p.rules"],
+    ["overlaps", "--presentation", "p.rules", "stray"],
+    ["overlaps", "--presentation", "p.rules", "--", "y"],
+    ["overlaps", "--presentation", "missing.rules"],
+    ["tm-run", "--config", "config.txt", "--budget", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_command_parser_behaves_as_full_parser(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("p.rules").write_text("alphabet: a0 a1\norder: deglex\nrule: a0 a1 -> a1 a0\nrule: a1 a1 -> a1\n")
+    Path("config.txt").write_text(format_config(TMConfig((3,), 2, 3, ())))
+    got = outcome(argv, capsys)
+    full = build_parser
+    monkeypatch.setattr(ncrewrite.cli, "build_parser", lambda only=None: full())
+    assert got == outcome(argv, capsys)
+
+
+def test_no_command_error_names_the_dest(capsys):
+    rc, out, err = outcome([], capsys)
+    assert (rc, out) == (("exit", 2), "")
+    assert err.endswith("ncrewrite: error: the following arguments are required: command\n")
+
+
+def test_named_command_registers_one_subparser(monkeypatch, capsys):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    argv = ["verify-order", "--order", "nilpotency", "--max-len", "1"]
+    assert main(argv) == 0
+    assert calls == ["verify-order"]
+    calls.clear()
+    monkeypatch.setattr(sys, "argv", ["ncrewrite", *argv])  # as the console script calls it
+    assert main() == 0
+    assert calls == ["verify-order"]
+    calls.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and calls == list(ARGUMENT_TABLE)
+    capsys.readouterr()
+
+
+def test_handler_is_looked_up_when_the_parser_is_built(nilp_file, monkeypatch):
+    """A wrapper put in place of a ``cmd_*`` function (as tracing does) is what runs."""
+    seen = []
+    monkeypatch.setattr(ncrewrite.cli, "cmd_overlaps", lambda args: seen.append(args.presentation) or 7)
+    assert main(["overlaps", "--presentation", nilp_file]) == 7
+    assert seen == [nilp_file]
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
