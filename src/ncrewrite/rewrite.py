@@ -9,11 +9,11 @@ normalizer on each of its terms and adds up the coefficients of equal
 normal forms; ``BudgetExhausted.partial`` is the word a reduction stopped at.
 
 Normalization reads a word once through a deterministic Aho-Corasick
-automaton over all rule left-hand sides, one lookup per letter.  The
+automaton over all rule left-hand sides, one lookup per letter: up to the
+first pattern end, then on while a better redex may still complete.  The
 reduced prefix is kept as a stack of letters and automaton states; a
-rewrite pops the left-hand side, puts the right-hand side back in front of
-the unread input and resumes from the state on top of the stack, so each
-rewrite step costs constant work, whatever the length of the word.
+rewrite pops the left-hand side, puts the letters read past it and the
+right-hand side back in front of the unread input: constant work per step.
 
 Sweeps.  A machine step is one letter (``t``, or the ``s`` it turns into)
 crossing the tape one cell per commutation rule.  Building the automaton
@@ -409,7 +409,9 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
 
     Rewrites the leftmost redex each time, the lowest rule id among those
     at the same position; by confluence any other choice reaches the same
-    normal form, and this one fixes the step count.
+    normal form, and this one fixes the step count.  It reads in two phases:
+    with no redex pending, until a pattern ends; then on, while a better
+    redex (further left, or lower-id at the same position) may complete.
 
     The bottom ``mark`` letters of ``pending`` are unread letters of that
     normal tail.  Once the last ``mark - len(pending)`` letters read all
@@ -423,36 +425,40 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
     letters: list[str] = []  # the prefix read so far
     states = [0]  # states[k]: automaton state after letters[:k]
     pending = list(reversed(w))  # input still to read, next letter last
+    pop, read, enter = pending.pop, letters.append, states.append
     mark = normal  # lowered to len(pending) before anything is pushed on it
-    steps = 0
-    pos = -1  # best redex seen since the last rewrite, at (pos, rid); -1: none
-    rid = 0
+    steps = s = 0  # s: the state on top of states
     while True:
-        if pending:
-            x = pending.pop()
-            s = goto[states[-1]].get(x, 0)
-            letters.append(x)
-            states.append(s)
+        while pending:  # no redex pending: read until a pattern ends
+            x = pop()
+            s = goto[s].get(x, 0)
+            read(x)
+            enter(s)
+            if out[s]:
+                break
+            if mark and mark - len(pending) >= horizon[s]:
+                return tuple(letters + pending[::-1]), steps
+        else:
+            return tuple(letters), steps
+        rid = out[s][0]
+        pos = len(letters) - lhs_len[rid]  # best redex so far, at (pos, rid)
+        # A pattern prefix still being read that starts before pos, or at
+        # pos and can grow, may complete into a better redex: read on.
+        while pending and horizon[s] > len(letters) - pos:
+            x = pop()
+            s = goto[s].get(x, 0)
+            read(x)
+            enter(s)
             if out[s]:
                 r = out[s][0]
                 q = len(letters) - lhs_len[r]
-                if pos < 0 or q < pos or (q == pos and r < rid):
+                if q < pos or (q == pos and r < rid):
                     pos, rid = q, r
-            if pos < 0:
-                if mark and mark - len(pending) >= horizon[s]:
-                    return tuple(letters + pending[::-1]), steps
-                continue
-            # A pattern prefix still being read that starts before pos, or at
-            # pos and can grow, may complete into a better redex: read on.
-            if horizon[s] > len(letters) - pos:
-                continue
-        elif pos < 0:
-            return tuple(letters), steps
         if steps >= budget:
             partial = tuple(letters) + tuple(reversed(pending))
             raise BudgetExhausted(partial, steps, len(matcher.redexes(partial)))
         span = sweeps.get(rid)
-        if span is not None and states[pos] == 0:
+        if span is not None and pending and pending[-1] in span and states[pos] == 0:
             # This rule is one crossing, and each span letter pending behind
             # the lhs allows one more (with c x y the run's last letter stays
             # ahead of the mover): k steps in one go, within the budget.
@@ -463,23 +469,27 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
                 m = k - (len(letters) - pos)  # crossed letters still pending
                 letters += run[:m]
                 del pending[len(pending) - m:]
-                mark = min(mark, len(pending))
+                if mark > len(pending):
+                    mark = len(pending)
                 pending.append(mover)
                 del states[pos + 1:]
                 states += [0] * k  # no pattern starts with a span letter
                 steps += k
-                pos = -1
+                s = 0
                 continue
         steps += 1
         rhs = rules[rid].rhs
         if rhs is None:
             return None, steps
-        mark = min(mark, len(pending))
-        pending.extend(reversed(letters[pos + lhs_len[rid]:]))
-        pending.extend(reversed(rhs))
+        if mark > len(pending):
+            mark = len(pending)
+        end = pos + lhs_len[rid]
+        if len(letters) > end:  # letters read past the lhs go back, next one last
+            pending += letters[:end - 1:-1]
+        pending += rhs[::-1]
         del letters[pos:]
         del states[pos + 1:]
-        pos = -1
+        s = states[-1]
 
 
 def _normal_powers(w: Word, p: Presentation, letter: str, n: int) -> int:

@@ -288,6 +288,26 @@ class TestRedexChoice:
         assert normalize(Polynomial.from_word(w), p) == (Polynomial.from_word(("R",)), 1)
         assert LeftmostOracle(p.rules).normalize(w) == (Polynomial.from_word(("R",)), 1)
 
+    @pytest.mark.parametrize("text, normal_form", [
+        ("a0 a1 a2 a0", "a0 a3 a0"),
+        ("a0 a1 a2 a0 a1 a2 a0", "a0 a3 a0 a3 a0"),
+    ])
+    def test_letters_read_past_the_redex_go_back(self, text, normal_form):
+        # a1 a2 (rule 1) ends at position 2, but a0 a1 a2 may still grow into
+        # rule 0, so the next a0 is read before rule 1 fires and then goes
+        # back in front of its rhs
+        rules = (Rule(("a0", "a1", "a2", "a3"), ("a3",)), Rule(("a1", "a2"), ("a3",)))
+        p = Presentation(rules, ReductionOrder(DEGLEX, ("a0", "a1", "a2", "a3")))
+        w = parse_word(text)
+        oracle = LeftmostOracle(rules)
+        nf, steps = normalize(Polynomial.from_word(w), p)
+        assert (nf, steps) == oracle.normalize(w) == (Polynomial.from_word(parse_word(normal_form)), w.count("a1"))
+        for k in range(steps):
+            with pytest.raises(BudgetExhausted) as exc:
+                normalize(Polynomial.from_word(w), p, budget=k)
+            assert (Polynomial.from_word(exc.value.partial), exc.value.steps) == oracle.normalize(w, max_steps=k)
+            assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], exc.value.partial))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_shrinking_rules(self, data):

@@ -19,6 +19,8 @@ from ncrewrite import (
     Polynomial,
     Presentation,
     Rule,
+    TMConfig,
+    encode_config,
     normalize,
 )
 from ncrewrite.orders import DEGLEX, ReductionOrder
@@ -154,6 +156,28 @@ class TestAgainstOracle:
                 assert_budget_agrees(p, oracle, w, budget)
                 checked += 1
         assert checked >= 16
+
+    def test_sweep_rule_with_no_run_behind(self, p_nilp):
+        # Eight crossings in (t encode(c))^2 have a letter outside the family's
+        # span right behind the lhs: two end a sweep, and six are single rule
+        # applications, four of them at automaton state 0, where a sweep
+        # would be tried if a run followed.
+        w = ("t",) + encode_config(TMConfig((1, 2, 0), 2, 1, (3, 0, 1)), NILPOTENCY)
+        w += w
+        oracle = LeftmostOracle(p_nilp.rules)
+        no_run = 0
+        u = w
+        while (hit := oracle.redex(u)) is not None:
+            pos, rule = hit
+            rid, end = oracle.by_lhs[rule.lhs][0], pos + len(rule.lhs)
+            no_run += rid in p_nilp.sweeps and end < len(u) and u[end] not in p_nilp.sweeps[rid]
+            u = u[:pos] + rule.rhs + u[end:]
+        assert no_run == 8
+        nf, steps = oracle.normalize(w)
+        assert normalize(Polynomial.from_word(w), p_nilp) == (nf, steps)
+        assert steps == 20
+        for budget in range(steps):
+            assert_budget_agrees(p_nilp, oracle, w, budget)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
