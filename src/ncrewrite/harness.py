@@ -144,7 +144,17 @@ def nilpotent_bounded(
     nmax: int,
     presentation: Presentation | None = None,
 ) -> DecisionOutcome:
-    """Smallest n <= nmax with (t * encode(c0))^n normalizing to zero."""
+    """Smallest n <= nmax with (t * encode(c0))^n normalizing to zero.
+
+    Each power multiplies the previous normal form on the left, as
+    base * acc: the one new t crosses the configuration word and then
+    acc, a run of cells at a time, where acc * base would leave a train of
+    n t letters that the rewriting advances one rewrite at a time.  For a
+    Gröbner basis (both constructions, criterion 1) every word has one
+    normal form, so the outcome is the same under either bracketing.  For
+    other rule sets a found(n) is still a reduction of the n-th power to
+    zero, but the smallest such n can depend on the bracketing.
+    """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     c0.validate(spec)
@@ -152,7 +162,7 @@ def nilpotent_bounded(
     base = Polynomial.from_word(("t",) + encode_config(c0, NILPOTENCY))
     acc = Polynomial.from_word(())  # the empty word: the 0th power
     for n in range(1, nmax + 1):
-        acc, _ = normalize(concat(acc, base), p)
+        acc, _ = normalize(concat(base, acc), p)
         if acc.is_zero():
             return DecisionOutcome.found(n)
     return DecisionOutcome.unknown(nmax)

@@ -19,7 +19,7 @@ Word = tuple[str, ...]
 
 EPS: Word = ()
 
-_LETTER_RE = re.compile(r"^(t|s|L|R|a\d+|Q\d+|P\d+)$")
+_LETTER_RE = re.compile(r"t|s|L|R|a\d+|Q\d+|P\d+")
 
 
 class AlphabetError(ValueError):
@@ -51,7 +51,7 @@ def letter_kind(letter: str) -> str:
     """Classify a token: 't', 's', 'L', 'R', 'cell', 'state' or 'color'."""
     if letter in ("t", "s", "L", "R"):
         return letter
-    if not _LETTER_RE.match(letter):
+    if not _LETTER_RE.fullmatch(letter):
         raise AlphabetError(f"not a letter: {letter!r}")
     return {"a": "cell", "Q": "state", "P": "color"}[letter[0]]
 
@@ -79,7 +79,7 @@ def parse_word(text: str) -> Word:
         return EPS
     word = tuple(map(sys.intern, text.split()))
     for letter in word:
-        if not _LETTER_RE.match(letter):
+        if not _LETTER_RE.fullmatch(letter):
             raise AlphabetError(f"not a letter: {letter!r}")
     return word
 

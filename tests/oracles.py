@@ -13,7 +13,9 @@ over one breadth-first list: per-node lists kept during insertion and a
 deque of (state, failure state) pairs.  ``annihilate_reference`` and
 ``cancellation_probe_reference`` are the deciders' loops as they were before
 they ran on the word normalizer: each power or derived word goes through the
-public ``normalize``.
+public ``normalize``.  ``nilpotent_reference`` is ``nilpotent_bounded`` as it
+was before it multiplied on the left: power n is the normal form of
+power n-1 times t * encode(c).
 """
 
 import random
@@ -213,6 +215,21 @@ def annihilate_reference(spec, c0, nmax, construction=NILPOTENCY, presentation=N
     for n in range(1, nmax + 1):
         x, _ = normalize(concat(t, x), p)
         if x.is_zero():
+            return DecisionOutcome.found(n)
+    return DecisionOutcome.unknown(nmax)
+
+
+def nilpotent_reference(spec, c0, nmax, presentation=None):
+    """``nilpotent_bounded``, one ``normalize(concat(acc, base))`` per power."""
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    c0.validate(spec)
+    p = _presentation(spec, NILPOTENCY, presentation)
+    base = Polynomial.from_word(("t",) + encode_config(c0, NILPOTENCY))
+    acc = Polynomial.from_word(())
+    for n in range(1, nmax + 1):
+        acc, _ = normalize(concat(acc, base), p)
+        if acc.is_zero():
             return DecisionOutcome.found(n)
     return DecisionOutcome.unknown(nmax)
 

@@ -17,6 +17,7 @@ from ncrewrite import (
     encode_config,
     lockstep,
     nilpotent_bounded,
+    nilpotency_presentation,
     normalize,
     parse_word,
     tm_run,
@@ -25,7 +26,9 @@ from ncrewrite import (
 )
 from ncrewrite import harness
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from oracles import annihilate_reference, cancellation_probe_reference, deg_t, htilde
+from ncrewrite.rewrite import concat
+from ncrewrite.turing import STOP
+from oracles import annihilate_reference, cancellation_probe_reference, deg_t, htilde, nilpotent_reference
 
 
 class TestHtilde:
@@ -302,6 +305,58 @@ class TestAgainstReference:
             if construction == ZERO_DIVISOR:
                 assert zerodivisor_witness_bounded(minsky, c, nmax, presentation=p) == expected, c
         assert kinds == {"at step 0", "within nmax", "past nmax"}
+
+    @pytest.mark.parametrize("machine, kinds", [
+        ("minsky", {"at step 0", "within nmax", "past nmax"}),
+        ("tiny_halt", {"at step 0", "within nmax", "past nmax"}),
+        ("tiny_loop", {"past nmax"}),
+    ])
+    def test_nilpotent_outcomes(self, machine, kinds, request):
+        spec = request.getfixturevalue(machine)
+        p = nilpotency_presentation(spec)
+        halts = sorted(pair for pair, move in spec.table.items() if move is STOP)
+        rng = random.Random(21)
+        seen = set()
+        for i in range(45):
+            # every third configuration has 100 to 130 cells; every fifth
+            # starts on a halt pair, where the machine has one
+            cells = rng.randint(100, 130) if i % 3 == 0 else rng.randint(0, 12)
+            left = rng.randint(0, cells)
+            tape = [rng.randrange(spec.colors) for _ in range(cells)]
+            state, color = rng.randrange(spec.states), rng.randrange(spec.colors)
+            if halts and i % 5 == 0:
+                state, color = rng.choice(halts)
+            c = TMConfig(tuple(tape[:left]), state, color, tuple(tape[left:]))
+            nmax = rng.randint(1, 12)
+            run = tm_run(spec, c, nmax)
+            seen.add("past nmax" if not run.halted else "at step 0" if run.steps == 0 else "within nmax")
+            expected = nilpotent_reference(spec, c, nmax, presentation=p)
+            assert nilpotent_bounded(spec, c, nmax, presentation=p) == expected, c
+            # and the machine alone predicts it
+            assert expected == (DecisionOutcome.found(max(1, run.steps)) if run.halted
+                                else DecisionOutcome.unknown(nmax)), c
+        assert seen == kinds
+
+    @pytest.mark.parametrize("machine", ["minsky", "tiny_halt", "tiny_loop"])
+    def test_bracketings_agree(self, machine, request):
+        # (t w)^n reduces to one normal form whether each power multiplies
+        # the previous one on the right or on the left (a Gröbner basis)
+        spec = request.getfixturevalue(machine)
+        p = nilpotency_presentation(spec)
+        rng = random.Random(34)
+        zeros = 0
+        for _ in range(20):
+            c = TMConfig(tuple(rng.randrange(spec.colors) for _ in range(rng.randint(0, 15))),
+                         rng.randrange(spec.states), rng.randrange(spec.colors),
+                         tuple(rng.randrange(spec.colors) for _ in range(rng.randint(0, 15))))
+            base = Polynomial.from_word(("t",) + encode_config(c, NILPOTENCY))
+            right = left = Polynomial.from_word(())
+            for _ in range(6):
+                right, _ = normalize(concat(right, base), p)
+                left, _ = normalize(concat(base, left), p)
+                assert left == right, c
+            zeros += right.is_zero()
+        assert zeros < 20 and (zeros > 0) == (machine != "tiny_loop")
 
 
 class TestConservation:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from ncrewrite import (
     AlphabetError,
+    Presentation,
+    Rule,
     TMConfig,
     encode_config,
     format_presentation,
@@ -16,6 +18,7 @@ from ncrewrite import (
     psi_alphabet,
     word_to_str,
 )
+from ncrewrite.orders import DEGLEX, ReductionOrder
 from ncrewrite.words import cell, check_alphabet, color_mark, letter_kind, state_mark
 
 
@@ -54,6 +57,19 @@ def test_letter_kind():
     assert letter_kind("t") == "t"
     with pytest.raises(AlphabetError):
         letter_kind("Q")
+
+
+@pytest.mark.parametrize("bad", ["a0\n", "t\n"])
+def test_letter_kind_rejects_a_line_break(bad):
+    # the whole token must be a letter, not just the part before a newline
+    with pytest.raises(AlphabetError, match="not a letter"):
+        letter_kind(bad)
+
+
+def test_presentation_refuses_a_letter_with_a_line_break():
+    # formatted, such an alphabet would read back as other letters and rules
+    with pytest.raises(AlphabetError, match="not a letter"):
+        Presentation((Rule(("t",), ("a0\n",)),), ReductionOrder(DEGLEX, ("t", "a0\n")))
 
 
 def test_alphabets():
