@@ -35,9 +35,10 @@ from .rewrite import DEFAULT_BUDGET, BudgetExhausted, Polynomial, format_polynom
 from .turing import format_config, minsky_utm, parse_config, parse_tm_spec, tm_run
 from .words import parse_word, word_to_str
 
-DEFAULT_AUDIT_ALPHABETS = {
-    NILPOTENCY: ("t", "a0", "R"),
-    ZERO_DIVISOR: ("t", "s", "a0", "L", "R"),
+# verify-order: order name -> (order factory, default sub-alphabet)
+_AUDITS = {
+    NILPOTENCY: (nilpotency_order, ("t", "a0", "R")),
+    ZERO_DIVISOR: (zerodivisor_order, ("t", "s", "a0", "L", "R")),
 }
 
 
@@ -73,14 +74,11 @@ def cmd_overlaps(args) -> int:
 def cmd_verify_order(args) -> int:
     if args.max_len < 1:  # an audit of no words would print an empty certificate
         raise ValueError("max_len must be >= 1")
-    if args.order == NILPOTENCY:
-        order = nilpotency_order()
-    else:
-        order = zerodivisor_order()
-    alphabet = DEFAULT_AUDIT_ALPHABETS[args.order] if args.alphabet is None else tuple(args.alphabet.split())
+    make_order, default_alphabet = _AUDITS[args.order]
+    alphabet = default_alphabet if args.alphabet is None else tuple(args.alphabet.split())
     if not alphabet or len(set(alphabet)) < len(alphabet):  # words would repeat or be none
         raise ValueError(f"--alphabet must list distinct letters, got {args.alphabet!r}")
-    report = audit_order(order, alphabet, args.max_len)
+    report = audit_order(make_order(), alphabet, args.max_len)
     print(f"alphabet: {' '.join(report.alphabet)}")
     print(f"max length: {report.max_len}")
     print(f"checks: {report.checks}")
@@ -179,7 +177,7 @@ _COMMANDS = {
         _PRESENTATION, ("--word", {"required": True}), ("--budget", {"type": int, "default": DEFAULT_BUDGET})]),
     "overlaps": ("list ambiguities among rule lhs words", [_PRESENTATION]),
     "verify-order": ("audit order axioms exhaustively", [
-        ("--order", {"choices": [NILPOTENCY, ZERO_DIVISOR], "required": True}),
+        ("--order", {"choices": list(_AUDITS), "required": True}),
         ("--max-len", {"type": int, "required": True}),
         ("--alphabet", {"help": "space-separated letters (default: small sub-alphabet)"})]),
     "gen-presentation": ("compile a TM into rules", [

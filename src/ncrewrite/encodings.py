@@ -103,7 +103,6 @@ def nilpotency_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
         rules=_instantiate(spec, _nilpotency_schemata),
         order=nilpotency_order(spec.states, spec.colors),
-        construction=NILPOTENCY,
     )
 
 
@@ -111,7 +110,6 @@ def zerodivisor_presentation(spec: TMSpec) -> Presentation:
     return Presentation(
         rules=_instantiate(spec, _zerodivisor_schemata),
         order=zerodivisor_order(spec.states, spec.colors),
-        construction=ZERO_DIVISOR,
     )
 
 
@@ -221,6 +219,4 @@ def parse_presentation(text: str) -> Presentation:
         except KeyError as exc:
             raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet in rule line: {raw.strip()!r}") from None
         add(Rule(lhs, rhs, comment.strip()))
-    order = ReductionOrder(kind, alphabet)
-    construction = kind if kind in (NILPOTENCY, ZERO_DIVISOR) else "custom"
-    return Presentation(rules=tuple(rules), order=order, construction=construction)
+    return Presentation(rules=tuple(rules), order=ReductionOrder(kind, alphabet))

@@ -7,7 +7,10 @@ weighs 2 and every other letter 1, with lex ties broken by alphabet
 precedence (earlier in the precedence list = greater letter).
 
 Each order exposes a sort key that is monotone in the order, so bulk
-comparisons reduce to tuple comparisons.
+comparisons reduce to tuple comparisons.  The letter policy is settled
+when an order is built: every precedence letter must be a letter, and a
+nilpotency order has no place for ``s`` or ``L``, so its precedence may
+not hold them.  A word is then checked only against the precedence.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ from .words import AlphabetError, Word, letter_kind, phi_alphabet, psi_alphabet
 NILPOTENCY = "nilpotency"
 ZERO_DIVISOR = "zerodivisor"
 DEGLEX = "deglex"
-
-# letter kinds the nilpotency alphabet has no place for
-_NILP_FORBIDDEN = ("s", "L")
 
 
 class ReductionOrder:
@@ -33,10 +33,11 @@ class ReductionOrder:
         self._neg_rank = {x: -i for i, x in enumerate(self.precedence)}
         if len(self._neg_rank) < len(self.precedence):
             raise ValueError(f"order precedence repeats a letter: {' '.join(self.precedence)}")
-        # classify (and so validate) each letter once, so sort_key runs no
-        # regex per letter
-        forbidden = _NILP_FORBIDDEN if kind == NILPOTENCY else ()
-        self._forbidden = frozenset(x for x in self.precedence if letter_kind(x) in forbidden)
+        # classify (and so validate) each letter here, once, so sort_key
+        # checks a word against the precedence alone
+        for x in self.precedence:
+            if letter_kind(x) in ("s", "L") and kind == NILPOTENCY:
+                raise AlphabetError(f"letter {x!r} not allowed in a nilpotency order")
 
     def sort_key(self, w: Word):
         """Key such that key(w1) < key(w2) iff w1 precedes w2.
@@ -51,9 +52,6 @@ class ReductionOrder:
             raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet") from None
         kind = self.kind
         if kind == NILPOTENCY:
-            if not self._forbidden.isdisjoint(w):
-                letter = next(x for x in w if x in self._forbidden)
-                raise AlphabetError(f"letter {letter!r} not allowed here")
             # each t doubles the weight of every letter to its right
             height = 0
             weight = 1

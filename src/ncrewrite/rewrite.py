@@ -73,7 +73,7 @@ from itertools import chain, takewhile
 from operator import attrgetter
 from typing import KeysView, Mapping, NamedTuple, Optional
 
-from .orders import ReductionOrder
+from .orders import DEGLEX, ReductionOrder
 from .words import AlphabetError, Word, check_alphabet, word_to_str
 
 DEFAULT_BUDGET = 10**6
@@ -204,12 +204,11 @@ class Matcher:
     or k back and can still grow."""
 
     def __init__(self, patterns: list[Word]):
-        self.patterns = list(map(tuple, patterns))
-        self.lengths = list(map(len, self.patterns))
+        self.lengths = list(map(len, patterns))
         goto: list[dict[str, int]] = [{}]
         n = 1  # len(goto): the id of the next new state
         ends = []  # ends[pid]: the state that spells pattern pid
-        for pat in self.patterns:
+        for pat in patterns:
             if not pat:
                 raise ValueError("empty pattern")
             s = 0
@@ -296,7 +295,7 @@ class Matcher:
         prefix of another ends at a state the trie goes on from, whose
         horizon exceeds the pattern's length."""
         reported = [(s, out) for s, out in enumerate(self._out) if out]
-        return len(reported) == len(self.patterns) and all(
+        return len(reported) == len(self.lengths) and all(
             len(out) == 1 and self._horizon[s] == self.lengths[out[0]] for s, out in reported)
 
 
@@ -345,11 +344,13 @@ def _sweep_table(rules: tuple[Rule, ...], matcher: Matcher) -> dict[int, frozens
 
 @dataclass(eq=False)
 class Presentation:
-    """A finitely presented algebra: oriented rules, and the reduction order over its alphabet."""
+    """A finitely presented algebra: oriented rules, and the reduction order over its alphabet.
+
+    The order names the construction: ``construction`` is the order's kind
+    (``nilpotency`` or ``zerodivisor``), or ``custom`` under deglex."""
 
     rules: tuple[Rule, ...]
     order: ReductionOrder
-    construction: str = "custom"
 
     def __post_init__(self):
         # One pass over all rule letters; the walk only names the first bad one.
@@ -379,6 +380,10 @@ class Presentation:
         # one build for both, so asking for the matcher pays for the table too
         matcher = Matcher(list(map(_lhs_of, self.rules)))
         return matcher, _sweep_table(self.rules, matcher)
+
+    @property
+    def construction(self) -> str:
+        return "custom" if self.order.kind == DEGLEX else self.order.kind
 
     @property
     def alphabet(self) -> tuple[str, ...]:

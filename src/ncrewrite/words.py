@@ -2,7 +2,8 @@
 
 A word is a tuple of letter tokens.  Tokens are ``t``, ``s``, ``L``, ``R``,
 ``a<k>`` (tape cell of color k), ``Q<i>`` (machine state i) and ``P<j>``
-(color of the current cell).  The empty word is spelled ``eps`` in text.
+(color of the current cell), each index in ASCII digits with no leading
+zero.  The empty word is spelled ``eps`` in text.
 
 Letters are interned: the constructors and ``parse_word`` hand out one
 shared string per letter, so a word costs one pointer per letter however
@@ -19,7 +20,7 @@ Word = tuple[str, ...]
 
 EPS: Word = ()
 
-_LETTER_RE = re.compile(r"t|s|L|R|a\d+|Q\d+|P\d+")
+_LETTER_RE = re.compile(r"t|s|L|R|[aQP](?:0|[1-9][0-9]*)")
 
 
 class AlphabetError(ValueError):

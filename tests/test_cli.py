@@ -265,6 +265,15 @@ def test_repeated_alphabet_letter_is_usage_error(tmp_path, capsys):
     assert_usage_error(rc, capsys.readouterr(), "repeats a letter")
 
 
+@pytest.mark.parametrize("letter,command", [("s", ["overlaps"]), ("L", ["normalize", "--word", "t R"])])
+def test_nilpotency_order_with_s_or_L_is_usage_error(letter, command, tmp_path, capsys):
+    # refused when the file is read, whether or not a rule or the word uses the letter
+    path = tmp_path / "psi.rules"
+    path.write_text(f"alphabet: t a0 {letter} R\norder: nilpotency\nrule: t R -> R t\n")
+    rc = main([command[0], "--presentation", str(path), *command[1:]])
+    assert_usage_error(rc, capsys.readouterr(), f"letter {letter!r} not allowed in a nilpotency order")
+
+
 @pytest.mark.parametrize("line", ["alphabet: a0 a1", "order: deglex"])
 def test_repeated_presentation_header_is_usage_error(line, tmp_path, capsys):
     path = tmp_path / "twice.rules"

@@ -237,6 +237,11 @@ class TestPresentationText:
         ("alphabet: t R\norder: nilpotency\nrule: t R -> R a0\n", "'a0'"),
         ("rule: t Q3 -> 0\nalphabet: t R\norder: nilpotency\n", "'Q3'"),
         ("alphabet: t x9 R\norder: nilpotency\nrule: t R -> R t\n", "'x9'"),
+        # one letter, one spelling: a00 is not a second a0
+        ("alphabet: t a0 a00 R\norder: deglex\nrule: t a0 -> R\n", "^not a letter: 'a00'$"),
+        # a nilpotency order has no place for s or L, used by a rule or not
+        ("alphabet: t s a0 R\norder: nilpotency\nrule: t R -> R t\n", "^letter 's' not allowed in a nilpotency order$"),
+        ("alphabet: t a0 L R\norder: nilpotency\n", "^letter 'L' not allowed in a nilpotency order$"),
     ])
     def test_rejects_letters_outside_alphabet(self, text, bad):
         with pytest.raises(AlphabetError, match=bad):

@@ -75,7 +75,7 @@ class TestLockstep:
         # R t -> 0 (R s -> 0) kills every step's word, the expected side too
         # if it were normalized with the rules under test
         p = p_nilp if construction == NILPOTENCY else p_zd
-        broken = Presentation(p.rules + (Rule(("R", mover), None),), p.order, p.construction)
+        broken = Presentation(p.rules + (Rule(("R", mover), None),), p.order)
         report = lockstep(minsky, self.RUNNING, 5, construction, presentation=broken)
         assert report.divergence == 0
         rec = report.records[0]
@@ -199,16 +199,23 @@ class TestConstructionContract:
         with pytest.raises(ValueError, match="zerodivisor presentation"):
             nilpotent_bounded(minsky, self.C, 5, presentation=p_zd)
 
-    def test_lockstep_other_construction(self, minsky, p_zd):
+    def test_lockstep_other_construction(self, minsky, p_nilp, p_zd):
         with pytest.raises(ValueError, match="zerodivisor presentation"):
             lockstep(minsky, self.C, 3, NILPOTENCY, presentation=p_zd)
+        # the order names the construction, however the presentation was built
+        hand_built = Presentation(p_nilp.rules, p_nilp.order)
+        with pytest.raises(ValueError, match="nilpotency presentation given for the zerodivisor construction"):
+            lockstep(minsky, self.C, 3, ZERO_DIVISOR, presentation=hand_built)
 
     def test_probe_nilpotency_presentation(self, p_nilp):
         with pytest.raises(ValueError, match="nilpotency presentation"):
             cancellation_probe(5, 12, presentation=p_nilp)
 
-    def test_custom_presentation_allowed(self, minsky, p_nilp):
-        custom = Presentation(p_nilp.rules, p_nilp.order)
+    def test_custom_presentation_allowed(self, minsky, p_nilp, p_zd):
+        # a deglex-ordered presentation names no construction, so it serves either
+        assert lockstep(minsky, self.C, 3, ZERO_DIVISOR,
+                        presentation=Presentation(p_zd.rules, ReductionOrder(DEGLEX, p_zd.alphabet))).ok
+        custom = Presentation(p_nilp.rules, ReductionOrder(DEGLEX, p_nilp.alphabet))
         assert custom.construction == "custom"
         assert nilpotent_bounded(minsky, self.C, 5, presentation=custom).value == 1
         assert annihilate_bounded(minsky, self.C, 5, presentation=custom).value == 1
@@ -239,7 +246,7 @@ class TestCancellationProbe:
         # configuration words come from the tiny machine's own Q<i> and a<k> letters
         p = zerodivisor_presentation(tiny_halt)
         assert cancellation_probe(50, 10, seed=42, presentation=p) == []
-        q = Presentation(p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
+        q = Presentation(p.rules + (Rule(("R", "t"), None),), p.order)
         violations = cancellation_probe(50, 10, seed=42, presentation=q)
         assert any(decode_structure(x, ZERO_DIVISOR) is not None for x, _, _ in violations)
         assert all(set(x) <= q.letters for x, _, _ in violations)
@@ -259,7 +266,7 @@ class TestCancellationProbe:
 
     def test_reports_violations(self, p_zd):
         # with R t -> 0 added, a word ending in R loses its right t
-        q = Presentation(p_zd.rules + (Rule(("R", "t"), None),), p_zd.order, p_zd.construction)
+        q = Presentation(p_zd.rules + (Rule(("R", "t"), None),), p_zd.order)
         violations = cancellation_probe(50, 10, seed=42, presentation=q)
         assert any(kind == "right-t" for _, kind, _ in violations)
         for x, kind, n in violations:
@@ -278,7 +285,7 @@ class TestAgainstReference:
     def test_probe_violations(self, machine, broken, p_zd, tiny_halt):
         p = p_zd if machine == "minsky" else zerodivisor_presentation(tiny_halt)
         if broken:
-            p = Presentation(p.rules + (Rule(("R", "t"), None),), p.order, p.construction)
+            p = Presentation(p.rules + (Rule(("R", "t"), None),), p.order)
         found = 0
         for seed in range(3):
             for max_len in (4, 12):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -21,9 +22,11 @@ from ncrewrite import (
     format_polynomial,
     make_presentation,
     minsky_utm,
+    nilpotency_order,
     normalize,
     parse_presentation,
     parse_word,
+    zerodivisor_order,
 )
 from ncrewrite.orders import DEGLEX, ReductionOrder
 from oracles import LeftmostOracle, RightmostOracle, config_word, matcher_tables, one_step_rewrites
@@ -119,9 +122,9 @@ class TestPolynomial:
 
 class TestMatcher:
     def test_overlapping_patterns(self):
-        m = Matcher([("a0", "a1"), ("a1", "a0"), ("a0",)])
+        pats = [("a0", "a1"), ("a1", "a0"), ("a0",)]
         word = ("a0", "a1", "a0")
-        assert m.redexes(word) == naive_scan(m.patterns, word)
+        assert Matcher(pats).redexes(word) == naive_scan(pats, word)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -530,3 +533,26 @@ class TestPresentationLetters:
         p = Presentation((Rule(("t", "a0"), ("a0", "t")), Rule(("a0", "a0"), None)),
                          ReductionOrder(DEGLEX, letters))
         assert normalize(Polynomial.from_word(("t", "a0")), p)[0] == Polynomial.from_word(("a0", "t"))
+
+
+class TestPresentationConstruction:
+    """The order names the construction; a presentation has no field that could contradict it."""
+
+    RULES = (Rule(("t", "a0"), ("a0", "t")),)
+
+    @pytest.mark.parametrize("order,construction", [
+        (nilpotency_order(), NILPOTENCY),
+        (zerodivisor_order(), ZERO_DIVISOR),
+        (ReductionOrder(DEGLEX, ("t", "a0")), "custom"),
+        (ReductionOrder(NILPOTENCY, ("a0", "t")), NILPOTENCY),
+    ])
+    def test_read_off_the_order(self, order, construction):
+        assert Presentation(self.RULES, order).construction == construction
+
+    def test_not_settable(self):
+        assert [f.name for f in dataclasses.fields(Presentation)] == ["rules", "order"]
+        with pytest.raises(TypeError):
+            Presentation(self.RULES, nilpotency_order(), "custom")
+        p = Presentation(self.RULES, nilpotency_order())
+        with pytest.raises(AttributeError):
+            p.construction = "custom"

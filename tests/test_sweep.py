@@ -105,7 +105,7 @@ class TestDetection:
 
     def test_not_by_name(self, p_nilp, p_zd):
         for p in (p_nilp, p_zd):
-            blank = Presentation(tuple(Rule(r.lhs, r.rhs) for r in p.rules), p.order)
+            blank = Presentation(tuple(Rule(r.lhs, r.rhs) for r in p.rules), ReductionOrder(DEGLEX, p.alphabet))
             assert blank.construction == "custom"
             assert blank.sweeps == p.sweeps
 

@@ -34,7 +34,9 @@ def test_eps():
     assert word_to_str(()) == "eps"
 
 
-@pytest.mark.parametrize("bad", ["x", "a", "Q", "a1b", "t1"])
+# an index is ASCII digits with no leading zero: "a01", "Q00" and the
+# Arabic-Indic "a\u0661" would otherwise read as a1, Q0 and a1 by int()
+@pytest.mark.parametrize("bad", ["x", "a", "Q", "a1b", "t1", "a01", "Q00", "P007", "a\u0661", "a\u0660"])
 def test_parse_rejects_junk(bad):
     with pytest.raises(AlphabetError):
         parse_word(bad)
@@ -55,8 +57,10 @@ def test_letter_kind():
     assert letter_kind("Q6") == "state"
     assert letter_kind("P0") == "color"
     assert letter_kind("t") == "t"
-    with pytest.raises(AlphabetError):
-        letter_kind("Q")
+    assert letter_kind("a10") == "cell"
+    for bad in ("Q", "a01", "Q00", "P\u0663", "a1\u0660"):
+        with pytest.raises(AlphabetError, match="not a letter"):
+            letter_kind(bad)
 
 
 @pytest.mark.parametrize("bad", ["a0\n", "t\n"])
