@@ -215,9 +215,16 @@ def cancellation_probe(
     ValueError when fewer than ``samples`` of ``_DRAWS_PER_SAMPLE`` times
     that many draws have a nonzero normal form.
 
-    When X is normal, X t^n stays normal up to the first n at which a
-    pattern ends in the t letters (``_normal_powers``), and the reduction
-    of s^n X may stop reading once it is inside X.
+    The derived words are built from Y = NF(X), which the nonzero test has
+    just computed: Y t^n is normal up to the first n at which a pattern
+    ends in the t letters (``_normal_powers``), and s^n X is reduced as s
+    times the normal form of s^(n-1) X, one s on a normal tail, so the
+    reduction may stop reading once it is inside that tail.  For a Gröbner
+    basis (the zero-divisor construction, criterion 1) every word has one
+    normal form, so the violations are those of the raw words X t^n and
+    s^n X.  For other rule sets each violation is still a reduction of the
+    raw word to zero, through NF(X), but which samples are reported can
+    depend on that reading.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -238,16 +245,19 @@ def cancellation_probe(
             x = _random_structured_word(rng, states, colors, max_len)
         else:
             x = _random_word(rng, p.alphabet, max_len)
-        nf, steps = normalize(Polynomial.from_word(x), p)
+        nf, _ = normalize(Polynomial.from_word(x), p)
         if nf.is_zero():
             continue
         produced += 1
-        normal = len(x) if steps == 0 else 0  # x is normal iff no step was made
-        right_normal = _normal_powers(x, p, "t", 3) if steps == 0 else 0
+        (y,) = nf.terms
+        right_normal = _normal_powers(y, p, "t", 3)
+        z: Optional[Word] = y  # NF(s^n y), built one s at a time on a normal tail
         for n in (1, 2, 3):
-            if n > right_normal and _reduce_word(x + ("t",) * n, p, DEFAULT_BUDGET)[0] is None:
+            if n > right_normal and _reduce_word(y + ("t",) * n, p, DEFAULT_BUDGET)[0] is None:
                 violations.append((x, "right-t", n))
-            if _reduce_word(("s",) * n + x, p, DEFAULT_BUDGET, normal)[0] is None:
+            if z is not None:
+                z = _reduce_word(("s",) + z, p, DEFAULT_BUDGET, len(z))[0]
+            if z is None:
                 violations.append((x, "left-s", n))
         if produced == samples:
             return violations

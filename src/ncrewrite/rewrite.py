@@ -42,7 +42,9 @@ depth) with no redex pending, no pattern can end in the rest of the tail
 skipped, so normal forms, step counts and ``BudgetExhausted`` stay as a
 full read gives them, for any rule set.  ``annihilate_bounded`` (on the
 configuration word and each power) and ``cancellation_probe`` check the
-alphabet once and call the loop directly; in a traced benchmark run, the
+alphabet once and call the loop directly; the probe derives its words from
+the normal form Y of its sample, as Y t^n and as s times the normal form of
+s^(n-1) Y, one s on a normal tail.  In a traced benchmark run, the
 rewriting they do shows as their own time.  ``lockstep`` and
 ``nilpotent_bounded`` still go through ``normalize`` and ``concat``, and
 every ``normalize`` call through the entry scan, because the benchmark's

@@ -275,20 +275,82 @@ class TestCancellationProbe:
             assert normalize(Polynomial.from_word(w), q)[0].is_zero()
 
 
+def _through_normal_form(x, kind, n, p):
+    """NF(X) t^n, or s^n NF(X) with one s multiplied on the left at a time."""
+    y, _ = normalize(Polynomial.from_word(x), p)
+    if kind == "right-t":
+        return normalize(concat(y, Polynomial.from_word(("t",) * n)), p)[0]
+    for _ in range(n):
+        y, _ = normalize(concat(Polynomial.from_word(("s",)), y), p)
+    return y
+
+
+class TestProbeFromNormalForms:
+    """``cancellation_probe`` derives X t^n and s^n X from NF(X), adding one
+    s at a time.  On a Gröbner basis that gives the raw words' normal forms;
+    on other rule sets each violation is still a reduction to zero."""
+
+    @pytest.mark.parametrize("machine", ["minsky", "tiny"])
+    def test_normal_form_readings_agree(self, machine, p_zd, tiny_halt):
+        p = p_zd if machine == "minsky" else zerodivisor_presentation(tiny_halt)
+        states = sum(x.startswith("Q") for x in p.alphabet)
+        colors = sum(x.startswith("a") for x in p.alphabet)
+        rng = random.Random(24)
+        for i in range(150):
+            if i % 2:
+                x = harness._random_structured_word(rng, states, colors, 12)
+            else:
+                x = harness._random_word(rng, p.alphabet, 12)
+            for n in (1, 2, 3):
+                for kind, w in (("right-t", x + ("t",) * n), ("left-s", ("s",) * n + x)):
+                    raw, _ = normalize(Polynomial.from_word(w), p)
+                    assert _through_normal_form(x, kind, n, p) == raw, (x, kind, n)
+
+    def test_non_groebner_rules(self):
+        # NF(s R) = R and R t -> 0, while the raw s R t^n rewrites s R t -> s
+        # first (lowest rule id at position 0) and never reaches zero
+        letters = ("t", "s", "R")
+        rules = (Rule(("s", "R", "t"), ("s",)), Rule(("s", "R"), ("R",)), Rule(("R", "t"), None))
+        p = Presentation(rules, ReductionOrder(DEGLEX, letters))
+        violations = cancellation_probe(30, 2, seed=0, presentation=p)
+        reference = cancellation_probe_reference(30, 2, seed=0, presentation=p)
+        for n in (1, 2, 3):
+            assert (("s", "R"), "right-t", n) in violations
+        assert all(x != ("s", "R") for x, _, _ in reference)
+        assert [v for v in violations if v[0] != ("s", "R")] == reference
+        for x, kind, n in violations:
+            assert _through_normal_form(x, kind, n, p).is_zero()
+
+    @pytest.mark.parametrize("extra, kind, powers", [
+        (("R", "t"), "right-t", {1, 2, 3}),
+        (("s", "L"), "left-s", {1, 2, 3}),
+        (("s", "s", "L"), "left-s", {2, 3}),  # zero only from the second s on
+    ])
+    def test_violations_reduce_to_zero(self, extra, kind, powers, p_zd):
+        q = Presentation(p_zd.rules + (Rule(extra, None),), p_zd.order)
+        violations = cancellation_probe(50, 10, seed=42, presentation=q)
+        assert {(k, n) for _, k, n in violations} == {(kind, n) for n in powers}
+        assert violations == cancellation_probe_reference(50, 10, seed=42, presentation=q)
+        for x, k, n in violations:
+            assert _through_normal_form(x, k, n, q).is_zero()
+
+
 class TestAgainstReference:
     """The deciders on the word normalizer against their loops through the
     public ``normalize``: the same violations in the same order, the same
     outcomes."""
 
-    @pytest.mark.parametrize("machine", ["minsky", "tiny"])
+    @pytest.mark.parametrize("machine", ["minsky", "tiny", "tiny_loop"])
     @pytest.mark.parametrize("broken", [False, True])
-    def test_probe_violations(self, machine, broken, p_zd, tiny_halt):
-        p = p_zd if machine == "minsky" else zerodivisor_presentation(tiny_halt)
+    def test_probe_violations(self, machine, broken, p_zd, tiny_halt, tiny_loop):
+        spec = {"tiny": tiny_halt, "tiny_loop": tiny_loop}.get(machine)
+        p = p_zd if spec is None else zerodivisor_presentation(spec)
         if broken:
             p = Presentation(p.rules + (Rule(("R", "t"), None),), p.order)
         found = 0
         for seed in range(3):
-            for max_len in (4, 12):
+            # max_len 1-3 cut the structured words short of a configuration word
+            for max_len in (1, 2, 3, 4, 12):
                 expected = cancellation_probe_reference(150, max_len, seed=seed, presentation=p)
                 assert cancellation_probe(150, max_len, seed=seed, presentation=p) == expected
                 found += len(expected)
