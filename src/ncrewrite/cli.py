@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 from .encodings import (
+    _CONSTRUCTIONS,
+    _construction,
     encode_config,
     format_presentation,
     make_presentation,
@@ -30,16 +32,13 @@ from .harness import (
     nilpotent_bounded,
     zerodivisor_witness_bounded,
 )
-from .orders import NILPOTENCY, ZERO_DIVISOR, nilpotency_order, zerodivisor_order
+from .orders import NILPOTENCY, ZERO_DIVISOR
 from .rewrite import DEFAULT_BUDGET, BudgetExhausted, Polynomial, format_polynomial, normalize
 from .turing import format_config, minsky_utm, parse_config, parse_tm_spec, tm_run
 from .words import parse_word, word_to_str
 
-# verify-order: order name -> (order factory, default sub-alphabet)
-_AUDITS = {
-    NILPOTENCY: (nilpotency_order, ("t", "a0", "R")),
-    ZERO_DIVISOR: (zerodivisor_order, ("t", "s", "a0", "L", "R")),
-}
+# verify-order: the default sub-alphabet of each construction's order
+_AUDITS = {NILPOTENCY: ("t", "a0", "R"), ZERO_DIVISOR: ("t", "s", "a0", "L", "R")}
 
 
 def _load_tm(path: str | None):
@@ -74,11 +73,10 @@ def cmd_overlaps(args) -> int:
 def cmd_verify_order(args) -> int:
     if args.max_len < 1:  # an audit of no words would print an empty certificate
         raise ValueError("max_len must be >= 1")
-    make_order, default_alphabet = _AUDITS[args.order]
-    alphabet = default_alphabet if args.alphabet is None else tuple(args.alphabet.split())
+    alphabet = _AUDITS[args.order] if args.alphabet is None else tuple(args.alphabet.split())
     if not alphabet or len(set(alphabet)) < len(alphabet):  # words would repeat or be none
         raise ValueError(f"--alphabet must list distinct letters, got {args.alphabet!r}")
-    report = audit_order(make_order(), alphabet, args.max_len)
+    report = audit_order(_construction(args.order).order(), alphabet, args.max_len)
     print(f"alphabet: {' '.join(report.alphabet)}")
     print(f"max length: {report.max_len}")
     print(f"checks: {report.checks}")
@@ -170,14 +168,14 @@ def cmd_cancellation_probe(args) -> int:
 # replaces a ``cmd_*`` function in this module (as bench/tracing.py does) is
 # the one that runs.
 _MACHINE = [("--tm", {}), ("--config", {"required": True})]
-_CONSTRUCTION = ("--construction", {"choices": [NILPOTENCY, ZERO_DIVISOR], "required": True})
+_CONSTRUCTION = ("--construction", {"choices": list(_CONSTRUCTIONS), "required": True})
 _PRESENTATION = ("--presentation", {"required": True})
 _COMMANDS = {
     "normalize": ("normalize a word under a presentation", [
         _PRESENTATION, ("--word", {"required": True}), ("--budget", {"type": int, "default": DEFAULT_BUDGET})]),
     "overlaps": ("list ambiguities among rule lhs words", [_PRESENTATION]),
     "verify-order": ("audit order axioms exhaustively", [
-        ("--order", {"choices": list(_AUDITS), "required": True}),
+        ("--order", {"choices": list(_CONSTRUCTIONS), "required": True}),
         ("--max-len", {"type": int, "required": True}),
         ("--alphabet", {"help": "space-separated letters (default: small sub-alphabet)"})]),
     "gen-presentation": ("compile a TM into rules", [

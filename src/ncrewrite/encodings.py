@@ -8,16 +8,22 @@ consumed t into an s that drifts out to the right past R.
 Each system is a table of rule schemata, one row per schema of the paper:
 its tag, the machine pairs it ranges over (none, the left-moving pairs,
 the right-moving pairs or the halt pairs), its free color variables and a
-function that builds one instance.  ``_instantiate`` is the only code that
+function that builds one instance.  ``_compile`` is the only code that
 reads the tables.  It fixes the order of the rules (schema, then machine
 pair ascending, then free colors ascending with the last fastest), so rule
 ids are stable, and the tags (``tt4[i=0,j=2,l=1,k=0,n=3]``).
+
+The construction table ``_CONSTRUCTIONS`` holds one row per construction:
+its schemata, its order factory, the letter at the left edge of a
+configuration word (R or L) and the letter a machine step leaves at the
+right end (t or s).  Every reader takes its fact from a row, and
+``_construction`` is the one place an unknown construction is refused.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
@@ -73,7 +79,28 @@ def _zerodivisor_schemata(a: Word, Q: Word, P: Word) -> tuple:
     )
 
 
-def _instantiate(spec: TMSpec, schemata) -> tuple[Rule, ...]:
+class _Construction(NamedTuple):
+    schemata: Callable[..., tuple]
+    order: Callable[[int, int], ReductionOrder]  # (states, colors) -> the order
+    edge: str  # left edge of a configuration word
+    step: str  # the letter one machine step leaves at the right end
+
+
+_CONSTRUCTIONS = {
+    NILPOTENCY: _Construction(_nilpotency_schemata, nilpotency_order, "R", "t"),
+    ZERO_DIVISOR: _Construction(_zerodivisor_schemata, zerodivisor_order, "L", "s"),
+}
+
+
+def _construction(name: str) -> _Construction:
+    try:
+        return _CONSTRUCTIONS[name]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key, such as a list
+        raise ValueError(f"unknown construction {name!r}") from None
+
+
+def _compile(spec: TMSpec, construction: str) -> Presentation:
+    schemata, order, _, _ = _construction(construction)
     colors, states = range(spec.colors), range(spec.states)
     table = schemata(tuple(map(cell, colors)), tuple(map(state_mark, states)), tuple(map(color_mark, colors)))
     pairs: dict[str, list[tuple[int, ...]]] = {"none": [()], "left": [], "right": [], "stop": []}
@@ -96,43 +123,28 @@ def _instantiate(spec: TMSpec, schemata) -> tuple[Rule, ...]:
             for coloring, label in zip(colorings, labels):
                 lhs, rhs = instance(*pair, *coloring)
                 add(Rule(lhs, rhs, head + label))
-    return tuple(rules)
+    return Presentation(rules=tuple(rules), order=order(spec.states, spec.colors))
 
 
 def nilpotency_presentation(spec: TMSpec) -> Presentation:
-    return Presentation(
-        rules=_instantiate(spec, _nilpotency_schemata),
-        order=nilpotency_order(spec.states, spec.colors),
-    )
+    return _compile(spec, NILPOTENCY)
 
 
 def zerodivisor_presentation(spec: TMSpec) -> Presentation:
-    return Presentation(
-        rules=_instantiate(spec, _zerodivisor_schemata),
-        order=zerodivisor_order(spec.states, spec.colors),
-    )
+    return _compile(spec, ZERO_DIVISOR)
 
 
 def make_presentation(spec: TMSpec, construction: str) -> Presentation:
-    if construction == NILPOTENCY:
-        return nilpotency_presentation(spec)
-    if construction == ZERO_DIVISOR:
-        return zerodivisor_presentation(spec)
-    raise ValueError(f"unknown construction {construction!r}")
-
-
-def _left_edge(construction: str) -> str:
-    if construction == NILPOTENCY:
-        return "R"
-    if construction == ZERO_DIVISOR:
-        return "L"
-    raise ValueError(f"unknown construction {construction!r}")
+    _construction(construction)  # refuse an unknown name before choosing a compiler
+    # the compilers are called by name, so a wrapper that replaces one in this
+    # module (as bench/tracing.py does) is the one that runs
+    return nilpotency_presentation(spec) if construction == NILPOTENCY else zerodivisor_presentation(spec)
 
 
 def encode_config(c: TMConfig, construction: str) -> Word:
     """Configuration word: edge marker, left tape, Q_i P_j, right tape, R."""
     return (
-        _left_edge(construction),
+        _construction(construction).edge,
         *map(cell, c.left),
         state_mark(c.state),
         color_mark(c.current),
@@ -147,7 +159,7 @@ def decode_structure(w: Word, construction: str) -> Optional[TMConfig]:
     Returns None when the t/s-free residue is not a well-formed
     configuration word.
     """
-    edge = _left_edge(construction)
+    edge = _construction(construction).edge
     core = tuple(x for x in w if x not in ("t", "s"))
     if len(core) < 4 or core[0] != edge or core[-1] != "R":
         return None

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .encodings import encode_config, make_presentation
+from .encodings import _construction, encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
 from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, _normal_powers, _reduce_word, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
@@ -57,6 +57,7 @@ class DecisionOutcome:
 def _presentation(spec: TMSpec, construction: str, presentation: Presentation | None) -> Presentation:
     """`presentation`, or the one compiled for `construction`; the other
     construction's rules do not simulate the machine on these words."""
+    _construction(construction)  # an unknown name is refused before any presentation is compared
     if presentation is None:
         return make_presentation(spec, construction)
     if presentation.construction in (NILPOTENCY, ZERO_DIVISOR) and presentation.construction != construction:
@@ -83,7 +84,7 @@ def lockstep(
         raise ValueError("steps must be >= 1")
     c0.validate(spec)
     p = _presentation(spec, construction, presentation)
-    tail = ("t",) if construction == NILPOTENCY else ("s",)
+    tail = (_construction(construction).step,)
     records: list[StepRecord] = []
     divergence: Optional[int] = None
     halted = False

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ncrewrite import format_config, format_presentation, format_tm_spec, TMConfig
+from ncrewrite import format_config, format_presentation, format_tm_spec, Presentation, TMConfig
 import ncrewrite.cli
+import ncrewrite.harness
 from ncrewrite.cli import build_parser, main
 from oracles import tiny_looping_machine
 
@@ -107,6 +108,17 @@ def test_lockstep_match(config_file, capsys):
                "--construction", "nilpotency"])
     assert rc == 0
     assert "machine halted" in capsys.readouterr().out
+
+
+def test_lockstep_divergence(p_nilp, tmp_path, monkeypatch, capsys):
+    # rules without the tt7 halt rule Q4 P3 -> 0, started on that halt pair
+    mutant = Presentation(tuple(r for r in p_nilp.rules if not r.tag.startswith("tt7")), p_nilp.order)
+    monkeypatch.setattr(ncrewrite.harness, "make_presentation", lambda spec, construction: mutant)
+    cfg = tmp_path / "halt.txt"
+    cfg.write_text(format_config(TMConfig((), 4, 3, ())))
+    rc = main(["lockstep", "--config", str(cfg), "--steps", "3", "--construction", "nilpotency"])
+    assert rc == 1
+    assert capsys.readouterr().out == "step 0: R Q4 P3 R [DIVERGED]\nmachine halted\ndivergence at step 0\n"
 
 
 def test_deciders(config_file, capsys):
@@ -455,3 +467,20 @@ def test_process_missing_config(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "missing.txt" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_console_script(tmp_path):
+    # the CI console-script check, with `ncrewrite` bound to this checkout's module
+    bindir, work = tmp_path / "bin", tmp_path / "work"
+    bindir.mkdir()
+    work.mkdir()
+    shim = bindir / "ncrewrite"
+    shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m ncrewrite.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {**os.environ, "PATH": os.pathsep.join([str(bindir), os.environ.get("PATH", "")]),
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    script = Path(__file__).resolve().parent / "console_script.sh"
+    proc = subprocess.run(["bash", str(script)], cwd=work, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("\n0 ambiguities\n") == 2 and proc.stdout.endswith("violations: 0\n")
+    assert sorted(p.name for p in work.iterdir()) == ["nilpotency.rules", "zerodivisor.rules"]

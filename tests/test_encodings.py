@@ -279,9 +279,22 @@ class TestPresentationText:
         ("rule: t a0 -> s", AlphabetError, "letter 's' outside alphabet in rule line: 'rule: t a0 -> s'"),
         ("rule: t -> ", ValueError, "bad rule line: 'rule: t -> '"),
         ("rule: t -> # tag", ValueError, "bad rule line: 'rule: t -> # tag'"),
+        ("t a0 -> R", ValueError, "bad line: 't a0 -> R'"),  # no rule: prefix, a stray line
     ])
     def test_rule_line_errors(self, rule, error, message):
         with pytest.raises(error) as exc:
             parse_presentation(self.HEADER + rule + "\n")
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "order: deglex\nrule: t a0 -> R\n",
+        "alphabet: t a0 R\nrule: t a0 -> R\n",
+        "alphabet:\norder: deglex\n",
+        "alphabet: t a0 R\norder:  \n",
+        "",
+    ])
+    def test_missing_header(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == "missing alphabet/order header"

@@ -16,6 +16,7 @@ from ncrewrite import (
     decode_structure,
     encode_config,
     lockstep,
+    make_presentation,
     nilpotent_bounded,
     nilpotency_presentation,
     normalize,
@@ -80,6 +81,15 @@ class TestLockstep:
         assert report.divergence == 0
         rec = report.records[0]
         assert rec.actual.is_zero() and not rec.expected.is_zero() and not rec.matched
+
+    def test_divergence_at_a_halt_pair(self, minsky, p_nilp):
+        # without the tt7 rule Q4 P3 -> 0 the halt pair's word stays nonzero
+        mutant = Presentation(tuple(r for r in p_nilp.rules if not r.tag.startswith("tt7")), p_nilp.order)
+        report = lockstep(minsky, TMConfig((), 4, 3, ()), 3, NILPOTENCY, presentation=mutant)
+        assert report.divergence == 0 and report.halted and len(report.records) == 1
+        rec = report.records[0]
+        assert rec.matched is False and rec.expected is None
+        assert rec.actual == Polynomial.from_word(parse_word("t R Q4 P3 R"))
 
     def test_one_normalize_and_encode_per_step(self, minsky, p_nilp, monkeypatch):
         normalized, encoded = [], []
@@ -168,6 +178,17 @@ class TestDeciders:
         with pytest.raises(ValueError):
             nilpotent_bounded(minsky, TMConfig((), 0, 0, ()), 0)
 
+    @pytest.mark.parametrize("entry,message", [
+        (lambda m, c: lockstep(m, c, 0, NILPOTENCY), "steps must be >= 1"),
+        (lambda m, c: annihilate_bounded(m, c, 0), "nmax must be >= 1"),
+        (lambda m, c: zerodivisor_witness_bounded(m, c, -1), "nmax must be >= 1"),
+        (lambda m, c: cancellation_probe(0, 12), "samples must be >= 1"),
+    ], ids=["lockstep", "annihilate", "zerodivisor", "probe"])
+    def test_bound_below_one(self, minsky, entry, message):
+        with pytest.raises(ValueError) as exc:
+            entry(minsky, TMConfig((), 0, 0, ()))
+        assert str(exc.value) == message
+
     def test_start_config_validated(self, minsky):
         bad = TMConfig((), 9, 0, ())
         for run in (
@@ -188,6 +209,25 @@ class TestConstructionContract:
     def test_annihilate_unknown_construction(self, minsky, p_zd):
         with pytest.raises(ValueError, match="bogus"):
             annihilate_bounded(minsky, self.C, 5, "bogus", presentation=p_zd)
+
+    @pytest.mark.parametrize("entry,given", [
+        ("make_presentation", None), ("encode_config", None), ("decode_structure", None),
+        *[(entry, given) for entry in ("lockstep", "annihilate_bounded") for given in (None, "nilpotency", "deglex")],
+    ])
+    def test_unknown_construction_refused(self, minsky, p_nilp, entry, given):
+        # one refusal, whatever the entry and whatever presentation comes with it
+        presentation = {None: None, "nilpotency": p_nilp,
+                        "deglex": Presentation(p_nilp.rules, ReductionOrder(DEGLEX, p_nilp.alphabet))}[given]
+        run = {
+            "make_presentation": lambda: make_presentation(minsky, "bogus"),
+            "encode_config": lambda: encode_config(self.C, "bogus"),
+            "decode_structure": lambda: decode_structure(parse_word("R a3 Q2 P3 R"), "bogus"),
+            "lockstep": lambda: lockstep(minsky, self.C, 2, "bogus", presentation=presentation),
+            "annihilate_bounded": lambda: annihilate_bounded(minsky, self.C, 5, "bogus", presentation=presentation),
+        }[entry]
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == "unknown construction 'bogus'"
 
     def test_annihilate_other_construction(self, minsky, p_nilp, p_zd):
         with pytest.raises(ValueError, match="zerodivisor presentation"):

@@ -221,6 +221,12 @@ class TestSortKey:
                 with pytest.raises(AlphabetError, match="not a letter"):
                     ReductionOrder(kind, precedence)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown order kind 'lex'$"):
+            ReductionOrder("lex", ("t", "a0"))
+        with pytest.raises(ValueError, match="^unknown order kind 'lex'$"):
+            parse_presentation("alphabet: t a0\norder: lex\nrule: t -> a0\n")
+
     def test_precedence_repeating_a_letter_rejected(self):
         # the rank of t would be ambiguous: first place, or last
         with pytest.raises(ValueError, match="repeats a letter"):

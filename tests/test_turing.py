@@ -112,6 +112,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             TMSpec(states=1, colors=1, table={(0, 0): Move("L", 5, 0)})
 
+    @pytest.mark.parametrize("entry,message", [
+        ({(1, 0): STOP}, "table key (1, 0) out of range"),
+        ({(0, -1): Move("L", 0, 0)}, "table key (0, -1) out of range"),
+        ({(0, 0): Move("U", 0, 0)}, "bad direction 'U'"),
+    ])
+    def test_table_entry_errors(self, entry, message):
+        with pytest.raises(ValueError) as exc:
+            TMSpec(states=1, colors=1, table={(0, 0): STOP, **entry})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("states,colors", [(-1, 1), (0, 0), (1, 0), (0, 1)])
     def test_needs_a_state_and_a_color(self, states, colors):
         with pytest.raises(ValueError, match="at least one state and one color"):
@@ -202,6 +212,14 @@ class TestTextFormats:
     def test_repeated_or_unknown_config_field(self, line):
         with pytest.raises(ValueError, match="bad line"):
             parse_config(f"left:\nstate: 2\ncell: 0\nright:\n{line}\n")
+
+    @pytest.mark.parametrize("field", ["left", "state", "cell", "right"])
+    def test_missing_config_field(self, field):
+        text = "".join(line + "\n" for line in ("left: 1", "state: 2", "cell: 0", "right:")
+                       if not line.startswith(field + ":"))
+        with pytest.raises(ValueError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"missing config field {field!r}"
 
     @pytest.mark.parametrize("text", ["left\nstate: 2\ncell: 0\nright: 1\n",
                                       "left: 1\nstate: 2\ncell: 0\nright\n"])
