@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import STOP, TMConfig, TMSpec
-from .words import EPS, AlphabetError, Word, cell, color_mark, parse_word, state_mark, word_to_str
+from .words import EPS, AlphabetError, Word, cell, color_mark, letter_kind, parse_word, state_mark, word_to_str
 
 _EPS_TOKENS, _ZERO_TOKENS = ["eps"], ["0"]  # the whole of a rule side: the empty word, zero
 
@@ -164,22 +164,17 @@ def decode_structure(w: Word, construction: str) -> Optional[TMConfig]:
     if len(core) < 4 or core[0] != edge or core[-1] != "R":
         return None
     body = core[1:-1]
-    q_positions = [i for i, x in enumerate(body) if x.startswith("Q")]
-    if len(q_positions) != 1:
+    try:
+        kinds = [letter_kind(x) for x in body]
+    except AlphabetError:  # a token that is not a letter
         return None
-    qpos = q_positions[0]
-    if qpos + 1 >= len(body) or not body[qpos + 1].startswith("P"):
+    if "state" not in kinds:
         return None
-    left = body[:qpos]
-    right = body[qpos + 2:]
-    if any(not x.startswith("a") for x in left + right):
+    q = kinds.index("state")  # the expected kinds have one state, at q
+    if kinds != ["cell"] * q + ["state", "color"] + ["cell"] * (len(kinds) - q - 2):
         return None
-    return TMConfig(
-        left=tuple(int(x[1:]) for x in left),
-        state=int(body[qpos][1:]),
-        current=int(body[qpos + 1][1:]),
-        right=tuple(int(x[1:]) for x in right),
-    )
+    index = [int(x[1:]) for x in body]  # each a cell, state or color letter
+    return TMConfig(left=tuple(index[:q]), state=index[q], current=index[q + 1], right=tuple(index[q + 2:]))
 
 
 def format_presentation(p: Presentation) -> str:

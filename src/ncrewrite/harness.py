@@ -13,7 +13,7 @@ from typing import Optional
 
 from .encodings import _construction, encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
-from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, _normal_powers, _reduce_word, concat, normalize
+from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, _reduce_word, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
 from .words import Word, check_alphabet, psi_alphabet
 
@@ -217,15 +217,15 @@ def cancellation_probe(
     that many draws have a nonzero normal form.
 
     The derived words are built from Y = NF(X), which the nonzero test has
-    just computed: Y t^n is normal up to the first n at which a pattern
-    ends in the t letters (``_normal_powers``), and s^n X is reduced as s
-    times the normal form of s^(n-1) X, one s on a normal tail, so the
-    reduction may stop reading once it is inside that tail.  For a Gröbner
-    basis (the zero-divisor construction, criterion 1) every word has one
-    normal form, so the violations are those of the raw words X t^n and
-    s^n X.  For other rule sets each violation is still a reduction of the
-    raw word to zero, through NF(X), but which samples are reported can
-    depend on that reading.
+    just computed.  Y is normal, so a redex of Y t^n ends in the t letters:
+    Y t^n is reduced only when some lhs ends in t, and is normal otherwise.
+    s^n X is reduced as s times the normal form of s^(n-1) X, one s on a
+    normal tail, so the reduction may stop reading once it is inside that
+    tail.  For a Gröbner basis (the zero-divisor construction, criterion 1)
+    every word has one normal form, so the violations are those of the raw
+    words X t^n and s^n X.  For other rule sets each violation is still a
+    reduction of the raw word to zero, through NF(X), but which samples are
+    reported can depend on that reading.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -238,6 +238,7 @@ def cancellation_probe(
     # configuration words only over a full zero-divisor alphabet of that shape
     structured = states and colors and p.letters.issuperset(psi_alphabet(states, colors))
     check_alphabet(("t", "s"), p.letters)
+    right_t = any(rule.lhs[-1] == "t" for rule in p.rules)  # else every Y t^n is normal
     violations: list[tuple[Word, str, int]] = []
     produced = 0
     draws = _DRAWS_PER_SAMPLE * samples
@@ -251,10 +252,9 @@ def cancellation_probe(
             continue
         produced += 1
         (y,) = nf.terms
-        right_normal = _normal_powers(y, p, "t", 3)
         z: Optional[Word] = y  # NF(s^n y), built one s at a time on a normal tail
         for n in (1, 2, 3):
-            if n > right_normal and _reduce_word(y + ("t",) * n, p, DEFAULT_BUDGET)[0] is None:
+            if right_t and _reduce_word(y + ("t",) * n, p, DEFAULT_BUDGET)[0] is None:
                 violations.append((x, "right-t", n))
             if z is not None:
                 z = _reduce_word(("s",) + z, p, DEFAULT_BUDGET, len(z))[0]

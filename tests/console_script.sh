@@ -16,6 +16,15 @@ done
 code=0
 ncrewrite normalize --presentation zerodivisor.rules --word "a01" || code=$?
 test "$code" = 2
+# two machine commands on the README configuration, which is removed again
+printf 'left: 3\nstate: 2\ncell: 3\nright:\n' > config.txt
+out=$(ncrewrite lockstep --config config.txt --steps 5 --construction zerodivisor)
+echo "$out"
+test "$(echo "$out" | tail -n 1)" = "2 steps matched"
+out=$(ncrewrite zerodivisor --config config.txt --nmax 5)
+echo "$out"
+test "$out" = "zero divisor: t^1 annihilates L a3 Q2 P3 R from the left"
+rm config.txt
 # the cancellation probe of the installed package: exit 0, no violation
 code=0
 out=$(ncrewrite cancellation-probe --samples 200 --max-len 12 --seed 3) || code=$?

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ncrewrite import format_config, format_presentation, format_tm_spec, Presentation, TMConfig
+from ncrewrite import format_config, format_presentation, format_tm_spec, Presentation, Rule, TMConfig
+from ncrewrite.orders import ReductionOrder
 import ncrewrite.cli
 import ncrewrite.harness
 from ncrewrite.cli import build_parser, main
@@ -82,6 +83,21 @@ def test_verify_order(capsys):
     assert "violations: 0" in capsys.readouterr().out
 
 
+def test_verify_order_violations(monkeypatch, capsys):
+    # a key that sees only the length: t and a0 tie, and so do their products with each letter
+    monkeypatch.setattr(ReductionOrder, "sort_key", lambda self, w: (len(w),))
+    rc = main(["verify-order", "--order", "nilpotency", "--max-len", "1", "--alphabet", "t a0"])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        "alphabet: t a0\nmax length: 1\nchecks: 16\nviolations: 5\n"
+        "  ('totality', ('t',), ('a0',))\n"
+        "  ('left', 't', ('t',), ('a0',))\n"
+        "  ('right', 't', ('t',), ('a0',))\n"
+        "  ('left', 'a0', ('t',), ('a0',))\n"
+        "  ('right', 'a0', ('t',), ('a0',))\n"
+    )
+
+
 def test_gen_presentation_stdout(capsys):
     rc = main(["gen-presentation", "--construction", "zerodivisor"])
     out = capsys.readouterr().out
@@ -101,6 +117,14 @@ def test_tm_run(config_file, capsys):
     rc = main(["tm-run", "--config", config_file, "--budget", "10"])
     assert rc == 0
     assert "halted after 1 steps" in capsys.readouterr().out
+
+
+def test_tm_run_still_running(loop_tm_file, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(format_config(TMConfig((), 0, 0, ())))
+    rc = main(["tm-run", "--tm", loop_tm_file, "--config", str(cfg), "--budget", "7"])
+    assert rc == 0
+    assert capsys.readouterr().out == "still running after 7 steps\n" + format_config(TMConfig((0,) * 7, 1, 0, ()))
 
 
 def test_lockstep_match(config_file, capsys):
@@ -136,10 +160,30 @@ def test_decider_unknown(loop_tm_file, tmp_path, capsys):
     assert "unknown up to 4" in capsys.readouterr().out
 
 
+def test_zerodivisor_unknown(loop_tm_file, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(format_config(TMConfig((), 0, 0, ())))
+    rc = main(["zerodivisor", "--tm", loop_tm_file, "--config", str(cfg), "--nmax", "4"])
+    assert rc == 1
+    assert capsys.readouterr().out == "zero divisor: unknown up to 4\n"
+
+
 def test_cancellation_probe(capsys):
     rc = main(["cancellation-probe", "--samples", "20", "--max-len", "8", "--seed", "1"])
     assert rc == 0
     assert "violations: 0" in capsys.readouterr().out
+
+
+def test_cancellation_probe_violations(p_zd, monkeypatch, capsys):
+    # Minsky's zero-divisor rules plus R t -> 0, an lhs that ends in t: every Y t^n with Y ending in R is zero
+    mutant = Presentation(p_zd.rules + (Rule(("R", "t"), None),), p_zd.order)
+    monkeypatch.setattr(ncrewrite.harness, "make_presentation", lambda spec, construction: mutant)
+    rc = main(["cancellation-probe", "--samples", "50", "--max-len", "12", "--seed", "3"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["samples: 50", "violations: 75"] and len(lines) == 2 + 20
+    assert lines[2:5] == [f"  right-t n={n}: L a1 a2 a3 a0 Q1 P3 a0 a3 a2 a1 R" for n in (1, 2, 3)]
+    assert all(re.fullmatch(r"  (right-t|left-s) n=[123]: \S.*", line) for line in lines[2:])
 
 
 def test_usage_error_exit_code():

@@ -133,9 +133,14 @@ class TestEncodeDecode:
         c = decode_structure(parse_word("R Q4 P1 a1 t a0 R"), NILPOTENCY)
         assert c == TMConfig((), 4, 1, (1, 0))
 
-    @pytest.mark.parametrize("bad", ["t t t", "R Q4 R", "R Q1 Q2 P0 R", "R P0 Q1 R", "L Q0 P0 R"])
+    @pytest.mark.parametrize("bad", ["t t t", "R Q4 R", "R Q1 Q2 P0 R", "R P0 Q1 R", "L Q0 P0 R", "R a0 P0 R"])
     def test_decode_malformed(self, bad):
         assert decode_structure(parse_word(bad), NILPOTENCY) is None
+
+    @pytest.mark.parametrize("tokens", [("L", "Qx", "P0", "R"), ("L", "a", "Q0", "P0", "R"), ("L", "Q0", "P", "R")])
+    def test_decode_tokens_that_are_not_letters(self, tokens):
+        # parse_word refuses these tokens, so the tuples are built by hand
+        assert decode_structure(tokens, ZERO_DIVISOR) is None
 
     def test_unknown_construction(self):
         c = TMConfig((), 4, 3, ())

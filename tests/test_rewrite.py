@@ -81,6 +81,21 @@ class TestPolynomial:
         assert concat(Polynomial.from_word(("t",)), Polynomial.from_word(("R",))) == \
             Polynomial.from_word(("t", "R"))
 
+    def test_concat_cancels_or_adds_a_term(self):
+        # (a0 -+ a0 a1)(a1 + eps): the two products a0 a1 cancel, or add up to 2 a0 a1
+        y = Polynomial.from_word(("a1",)) + Polynomial.from_word(())
+        for sign in (-1, 1):
+            x = Polynomial.from_word(("a0",)) + Polynomial({("a0", "a1"): sign})
+            expected = {("a0",): Fraction(1), ("a0", "a1", "a1"): Fraction(sign)}
+            if sign == 1:
+                expected[("a0", "a1")] = Fraction(2)
+            assert concat(x, y).terms == expected
+
+    def test_equality_with_another_type(self):
+        x = Polynomial.from_word(("t",))
+        assert x.__eq__(("t",)) is NotImplemented
+        assert x != ("t",) and x != {("t",): 1} and Polynomial.zero() != 0
+
     def test_format_parse_roundtrip(self):
         x = Polynomial({("t", "R"): Fraction(1, 2)}) + Polynomial({("a0",): -3})
         y = Polynomial({parse_word("a0"): Fraction(-3), parse_word("t R"): Fraction(1, 2)})
@@ -125,6 +140,10 @@ class TestMatcher:
         pats = [("a0", "a1"), ("a1", "a0"), ("a0",)]
         word = ("a0", "a1", "a0")
         assert Matcher(pats).redexes(word) == naive_scan(pats, word)
+
+    def test_empty_pattern_refused(self):
+        with pytest.raises(ValueError, match="^empty pattern$"):
+            Matcher([("a0",), ()])
 
     @settings(max_examples=200)
     @given(st.data())

@@ -195,6 +195,15 @@ class TestTextFormats:
         c = parse_config("left:\nstate: 4\ncell: 3\nright:\n")
         assert c == TMConfig((), 4, 3, ())
 
+    def test_spec_comments_and_blank_lines(self, tiny_halt):
+        text = "# a machine\n\n" + format_tm_spec(tiny_halt).replace("\n", "  # to the end of the line\n", 1) + "\n"
+        assert text.count("#") == 2 and "\n\n" in text
+        assert parse_tm_spec(text) == tiny_halt
+
+    def test_config_comments_and_blank_lines(self):
+        text = "# start\nleft: 1 0  # read left to right\n\nstate: 2\ncell: 3#no space needed\n  \nright:\n"
+        assert parse_config(text) == TMConfig((1, 0), 2, 3, ())
+
     def test_spec_parse_errors(self):
         with pytest.raises(ValueError):
             parse_tm_spec("states 1\nrule 0 0 -> STOP\n")
