@@ -81,8 +81,10 @@ def cmd_verify_order(args) -> int:
     print(f"max length: {report.max_len}")
     print(f"checks: {report.checks}")
     print(f"violations: {len(report.violations)}")
-    for v in report.violations[:20]:
-        print(f"  {v}")
+    for kind, *words in report.violations[:20]:
+        if isinstance(words[0], str):  # left / right: the letter, then the two words
+            kind = f"{kind} {words.pop(0)}"
+        print(f"  {kind}: {', '.join(map(word_to_str, words))}")
     return 0 if report.ok else 1
 
 

@@ -2,11 +2,13 @@
 
 All rules here are monic monomial -> monomial (or zero), so rewriting a
 word either yields another word or kills the term: normalization works on
-words.  ``Polynomial`` (a formal rational combination of words) is a thin
-wrapper around a dict from word to coefficient, kept for polynomial text
-and the products the bounded deciders build; ``normalize`` runs the word
-normalizer on each of its terms and adds up the coefficients of equal
-normal forms; ``BudgetExhausted.partial`` is the word a reduction stopped at.
+words.  ``Polynomial`` (a formal linear combination of words, with the
+coefficients it is given: the engine itself only makes the integer 1, and
+never divides) is a thin wrapper around a dict from word to coefficient,
+kept for polynomial text and the products the bounded deciders build;
+``normalize`` runs the word normalizer on each of its terms and adds up the
+coefficients of equal normal forms; ``BudgetExhausted.partial`` is the word
+a reduction stopped at.
 
 Normalization reads a word once through a deterministic Aho-Corasick
 automaton over all rule left-hand sides, one lookup per letter: up to the
@@ -62,8 +64,12 @@ over one breadth-first list of states that grows as the loop reads it:
 1.6 ms on the nilpotency rules (1953 states).  A ``Presentation`` checks
 every rule letter against its alphabet when it is built, one
 ``issuperset`` pass per side of the rules, about 0.5 ms of the 2.5 ms that
-``nilpotency_presentation`` takes; the automaton is built on first use,
-once per presentation, and nothing is cached across presentations.
+``nilpotency_presentation`` takes.  The automaton is built on first use,
+once per presentation, and the sweep table from it by the first reduction
+that reads it, so a caller that only scans, as ``find_ambiguities`` does,
+never builds the table (about 0.1 ms on the nilpotency rules and 0.05 ms
+on the zero-divisor rules, best of 30); nothing is cached across
+presentations.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, takewhile
 from operator import attrgetter
 from typing import KeysView, Mapping, NamedTuple, Optional
@@ -111,12 +116,9 @@ class Rule(_RuleFields):
         return cls(*iterable)
 
 
-_ONE = Fraction(1)
-
-
-def _add_term(terms: dict[Word, Fraction], w: Word, c: Fraction) -> None:
+def _add_term(terms: dict[Word, int], w: Word, c: int) -> None:
     """Add c * w, c nonzero, into terms, dropping the term when its coefficient becomes zero."""
-    # a new term is stored as it is: 0 + c runs Fraction.__radd__, about 2 µs (Python 3.11.7)
+    # a new term is stored as it is: 0 + c would cost an exact rational's __radd__
     prev = terms.get(w)
     if prev is None:
         terms[w] = c
@@ -127,22 +129,19 @@ def _add_term(terms: dict[Word, Fraction], w: Word, c: Fraction) -> None:
 
 
 class Polynomial:
-    """Formal linear combination of words with exact rational coefficients."""
+    """Formal linear combination of words, with the nonzero coefficients it
+    is given.  Sums and products only add and multiply them, so integers
+    stay integers and a caller's exact rationals stay exact."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        self._terms: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self._terms[tuple(w)] = c
+    def __init__(self, terms: Mapping[Word, int] | None = None):
+        self._terms: dict[Word, int] = {tuple(w): c for w, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def _of(cls, terms: dict[Word, Fraction]) -> "Polynomial":
+    def _of(cls, terms: dict[Word, int]) -> "Polynomial":
         """Wrap terms without copying or checking them: tuple keys, nonzero
-        Fraction values, and no other owner of the dict."""
+        values, and no other owner of the dict."""
         result = cls.__new__(cls)
         result._terms = terms
         return result
@@ -153,10 +152,10 @@ class Polynomial:
 
     @classmethod
     def from_word(cls, w: Word) -> "Polynomial":
-        return cls._of({tuple(w): _ONE})
+        return cls._of({tuple(w): 1})
 
     @property
-    def terms(self) -> dict[Word, Fraction]:
+    def terms(self) -> dict[Word, int]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -166,8 +165,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    __hash__ = None
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self._terms)
@@ -181,7 +178,7 @@ class Polynomial:
 
 def concat(x: Polynomial, y: Polynomial) -> Polynomial:
     """Bilinear concatenation product; the result is not normalized."""
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     for wx, cx in x._terms.items():
         for wy, cy in y._terms.items():
             _add_term(out, wx + wy, cx * cy)
@@ -373,19 +370,13 @@ class Presentation:
 
     @functools.cached_property
     def matcher(self) -> Matcher:
-        return self._compiled[0]
+        return Matcher(list(map(_lhs_of, self.rules)))
 
     @functools.cached_property
     def sweeps(self) -> dict[int, frozenset[str]]:
         """Rule id -> letter set, for the rules of the commuting families
-        (see ``_sweep_table``)."""
-        return self._compiled[1]
-
-    @functools.cached_property
-    def _compiled(self) -> tuple[Matcher, dict[int, frozenset[str]]]:
-        # one build for both, so asking for the matcher pays for the table too
-        matcher = Matcher(list(map(_lhs_of, self.rules)))
-        return matcher, _sweep_table(self.rules, matcher)
+        (see ``_sweep_table``); built by the first reduction that reads it."""
+        return _sweep_table(self.rules, self.matcher)
 
     @property
     def construction(self) -> str:
@@ -510,7 +501,7 @@ def normalize(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     total = 0
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     for w, c in x._terms.items():
         check_alphabet(w, p.letters)
         # Entry scan: a word without a redex is its own normal form.  It also

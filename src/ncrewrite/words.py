@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
+from operator import index
 from typing import Sequence
 
 Word = tuple[str, ...]
@@ -31,7 +32,9 @@ class _Letters(dict):
     """Index -> interned letter ``<prefix><index>``, made on first lookup.
 
     Callers look letters up through the bound ``__getitem__``, so mapping
-    it over a tape costs one dict lookup per cell.
+    it over a tape costs one dict lookup per cell.  The index is spelled
+    as the integer it stands for: ``True`` is the key ``1`` and spells
+    ``1``, not ``True``.
     """
 
     def __init__(self, prefix: str):
@@ -39,7 +42,7 @@ class _Letters(dict):
         self.prefix = prefix
 
     def __missing__(self, k: int) -> str:
-        letter = self[k] = sys.intern(f"{self.prefix}{k}")
+        letter = self[k] = sys.intern(f"{self.prefix}{index(k)}")
         return letter
 
 

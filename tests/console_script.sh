@@ -12,6 +12,10 @@ for construction in nilpotency zerodivisor; do
   echo "$out"
   test "$out" = "0 ambiguities"
 done
+# a normal form through the installed package: exit 0 and exactly these two lines
+out=$(ncrewrite normalize --presentation nilpotency.rules --word "t R Q0 P0 R")
+echo "$out"
+test "$out" = "$(printf 'normal form: 1 * R Q4 P0 a1 R t\nsteps: 2')"
 # bad input is refused with exit code 2: a01 is not a spelling of a1
 code=0
 ncrewrite normalize --presentation zerodivisor.rules --word "a01" || code=$?

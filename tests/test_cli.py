@@ -90,11 +90,11 @@ def test_verify_order_violations(monkeypatch, capsys):
     assert rc == 1
     assert capsys.readouterr().out == (
         "alphabet: t a0\nmax length: 1\nchecks: 16\nviolations: 5\n"
-        "  ('totality', ('t',), ('a0',))\n"
-        "  ('left', 't', ('t',), ('a0',))\n"
-        "  ('right', 't', ('t',), ('a0',))\n"
-        "  ('left', 'a0', ('t',), ('a0',))\n"
-        "  ('right', 'a0', ('t',), ('a0',))\n"
+        "  totality: t, a0\n"
+        "  left t: t, a0\n"
+        "  right t: t, a0\n"
+        "  left a0: t, a0\n"
+        "  right a0: t, a0\n"
     )
 
 
@@ -490,6 +490,15 @@ def run_module(*argv, cwd=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "ncrewrite.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_rational_arithmetic():
+    # coefficients are kept as given, so the CLI's import pulls in neither
+    # fractions nor what it imports; -S: no site module preloads them
+    code = "import sys, ncrewrite.cli; print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_process_help():

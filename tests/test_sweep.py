@@ -21,6 +21,7 @@ from ncrewrite import (
     Rule,
     TMConfig,
     encode_config,
+    find_ambiguities,
     normalize,
 )
 from ncrewrite.orders import DEGLEX, ReductionOrder
@@ -108,6 +109,17 @@ class TestDetection:
             blank = Presentation(tuple(Rule(r.lhs, r.rhs) for r in p.rules), ReductionOrder(DEGLEX, p.alphabet))
             assert blank.construction == "custom"
             assert blank.sweeps == p.sweeps
+
+    def test_table_built_by_the_first_reduction(self, p_nilp):
+        # the matcher alone, or an overlap search, leaves the table unbuilt
+        p = Presentation(p_nilp.rules, p_nilp.order)
+        p.matcher
+        assert "sweeps" not in vars(p)
+        assert find_ambiguities(p) == [] and "sweeps" not in vars(p)
+        assert not hasattr(p, "_compiled")
+        x = Polynomial.from_word(("t",) + encode_config(TMConfig((1, 2), 0, 3, ()), NILPOTENCY))
+        assert normalize(x, p)[1] > 0
+        assert "sweeps" in vars(p) and p.sweeps == p_nilp.sweeps
 
     @pytest.mark.parametrize("arity", [2, 3])
     def test_clean_family(self, arity):

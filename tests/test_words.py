@@ -1,4 +1,8 @@
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -95,6 +99,22 @@ def test_cell_letters_are_interned(k):
     assert cell(k) == f"a{k}"
     assert cell(k) is sys.intern(f"a{k}")
     assert state_mark(k) is sys.intern(f"Q{k}") and color_mark(k) is sys.intern(f"P{k}")
+
+
+def test_letter_index_spelled_as_an_integer():
+    # True is the key 1: looked up first, it must spell a1 and Q1, not aTrue and
+    # QTrue for the rest of the process.  The tables are process-wide and the
+    # test run has filled them already, so the lookups run in a fresh process.
+    code = textwrap.dedent("""
+        from ncrewrite import TMConfig, encode_config, minsky_utm, nilpotency_presentation
+        from ncrewrite.words import state_mark
+        print(*encode_config(TMConfig((True,), True, 0, ()), "nilpotency"))
+        print(state_mark(1), len(nilpotency_presentation(minsky_utm()).rules))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "R a1 Q1 P0 R\nQ1 1560\n", "")
 
 
 def test_letters_are_shared(minsky):
