@@ -50,7 +50,6 @@ from .turing import (
     tm_step,
 )
 from .encodings import (
-    decode_structure,
     encode_config,
     format_presentation,
     make_presentation,

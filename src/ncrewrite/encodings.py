@@ -23,12 +23,12 @@ right end (t or s).  Every reader takes its fact from a row, and
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import STOP, TMConfig, TMSpec
-from .words import EPS, AlphabetError, Word, cell, color_mark, letter_kind, parse_word, state_mark, word_to_str
+from .words import EPS, AlphabetError, Word, cell, color_mark, parse_word, state_mark, word_to_str
 
 _EPS_TOKENS, _ZERO_TOKENS = ["eps"], ["0"]  # the whole of a rule side: the empty word, zero
 
@@ -151,30 +151,6 @@ def encode_config(c: TMConfig, construction: str) -> Word:
         *map(cell, c.right),
         "R",
     )
-
-
-def decode_structure(w: Word, construction: str) -> Optional[TMConfig]:
-    """Configuration encoded by w after deleting all t and s letters.
-
-    Returns None when the t/s-free residue is not a well-formed
-    configuration word.
-    """
-    edge = _construction(construction).edge
-    core = tuple(x for x in w if x not in ("t", "s"))
-    if len(core) < 4 or core[0] != edge or core[-1] != "R":
-        return None
-    body = core[1:-1]
-    try:
-        kinds = [letter_kind(x) for x in body]
-    except AlphabetError:  # a token that is not a letter
-        return None
-    if "state" not in kinds:
-        return None
-    q = kinds.index("state")  # the expected kinds have one state, at q
-    if kinds != ["cell"] * q + ["state", "color"] + ["cell"] * (len(kinds) - q - 2):
-        return None
-    index = [int(x[1:]) for x in body]  # each a cell, state or color letter
-    return TMConfig(left=tuple(index[:q]), state=index[q], current=index[q + 1], right=tuple(index[q + 2:]))
 
 
 def format_presentation(p: Presentation) -> str:

@@ -86,29 +86,22 @@ def lockstep(
     p = _presentation(spec, construction, presentation)
     tail = (_construction(construction).step,)
     records: list[StepRecord] = []
-    divergence: Optional[int] = None
-    halted = False
     c, w, nxt = c0, encode_config(c0, construction), tm_step(spec, c0)
     for n in range(steps):
         actual, _ = normalize(Polynomial.from_word(("t",) + w), p)
         if nxt is None:
-            halted = True
-            matched = actual.is_zero()
-            records.append(StepRecord(c, w, actual, None, matched))
-            if not matched:
-                divergence = n
-            break
-        after = tm_step(spec, nxt)
-        w_next = encode_config(nxt, construction)
-        # a halt pair Q_i P_j is the only redex the successor's word can hold
-        expected = Polynomial.zero() if after is None else Polynomial.from_word(w_next + tail)
-        matched = actual == expected
+            expected, matched = None, actual.is_zero()
+        else:
+            after = tm_step(spec, nxt)
+            w_next = encode_config(nxt, construction)
+            # a halt pair Q_i P_j is the only redex the successor's word can hold
+            expected = Polynomial.zero() if after is None else Polynomial.from_word(w_next + tail)
+            matched = actual == expected
         records.append(StepRecord(c, w, actual, expected, matched))
-        if not matched:
-            divergence = n
-            break
+        if nxt is None or not matched:
+            return LockstepReport(tuple(records), None if matched else n, nxt is None)
         c, w, nxt = nxt, w_next, after
-    return LockstepReport(tuple(records), divergence, halted)
+    return LockstepReport(tuple(records), None, False)
 
 
 def annihilate_bounded(
@@ -121,7 +114,14 @@ def annihilate_bounded(
     """Smallest N <= nmax with t^N * encode(c0) normalizing to zero.
 
     Each power multiplies the previous normal form w by t, so the reduction
-    of t w may stop reading once it is inside w (see ``_reduce_word``).
+    of t w may stop reading once it is inside w (see ``_reduce_word``).  The
+    first power reads t * encode(c0) whole: the configuration word is not
+    reduced first, since on a halt pair it holds that one redex.  For a
+    Gröbner basis (both constructions, criterion 1) every word has one
+    normal form, NF(t w) = NF(t NF(w)), so the outcome is that of the raw
+    powers.  For other rule sets a found(N) is still a reduction of
+    t^N * encode(c0) to zero, but the smallest such N can depend on where
+    the normal forms are taken.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -129,13 +129,12 @@ def annihilate_bounded(
     p = _presentation(spec, construction, presentation)
     w = encode_config(c0, construction)
     check_alphabet(w + ("t",), p.letters)
-    w, _ = _reduce_word(w, p, DEFAULT_BUDGET)
-    if w is None:
-        return DecisionOutcome.found(1)
+    normal = 0  # letters at the end of w known to hold no redex
     for n in range(1, nmax + 1):
-        w, _ = _reduce_word(("t",) + w, p, DEFAULT_BUDGET, len(w))
+        w, _ = _reduce_word(("t",) + w, p, DEFAULT_BUDGET, normal)
         if w is None:
             return DecisionOutcome.found(n)
+        normal = len(w)
     return DecisionOutcome.unknown(nmax)
 
 

@@ -7,6 +7,7 @@ Minsky 7-state 4-color universal machine.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import index
 from typing import Optional
@@ -113,28 +114,40 @@ def tm_step(spec: TMSpec, c: TMConfig) -> Optional[TMConfig]:
     entry = spec.table[(c.state, c.current)]
     if entry is STOP:
         return None
+    q, p = entry.state, entry.color
     if entry.direction == "L":
-        if c.left:
-            return TMConfig(c.left[:-1], entry.state, c.left[-1], (entry.color,) + c.right)
-        return TMConfig((), entry.state, 0, (entry.color,) + c.right)
-    if c.right:
-        return TMConfig(c.left + (entry.color,), entry.state, c.right[0], c.right[1:])
-    return TMConfig(c.left + (entry.color,), entry.state, 0, ())
+        return TMConfig(c.left[:-1], q, c.left[-1] if c.left else 0, (p,) + c.right)
+    return TMConfig(c.left + (p,), q, c.right[0] if c.right else 0, c.right[1:])
 
 
 def tm_run(spec: TMSpec, c: TMConfig, budget: int) -> RunResult:
-    """Iterate tm_step up to budget steps."""
+    """Iterate tm_step up to budget steps.
+
+    The loop takes at most ``budget`` steps; the configuration it ends on is
+    then asked once more whether it halts, so a run that reaches a halt
+    pair exactly at the budget reports halted.
+    """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     c.validate(spec)
-    for k in range(budget + 1):
+    for k in range(budget):
         nxt = tm_step(spec, c)
         if nxt is None:
             return RunResult(True, k, c)
-        if k == budget:
-            break
         c = nxt
-    return RunResult(False, budget, c)
+    return RunResult(tm_step(spec, c) is None, budget, c)
+
+
+# one spelling per integer: ASCII digits, no leading zero, no "+" or "_"; the
+# minus sign is read, so a negative count or color is refused by its range check
+_INTEGER_RE = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _integer(token: str, raw: str) -> int:
+    """The integer that token spells; raw is its line, named when refused."""
+    if not _INTEGER_RE.fullmatch(token):
+        raise ValueError(f"bad line: {raw!r} (not an integer: {token!r})")
+    return int(token)
 
 
 def format_tm_spec(spec: TMSpec) -> str:
@@ -159,12 +172,12 @@ def parse_tm_spec(text: str) -> TMSpec:
         if parts[0] in ("states", "colors") and len(parts) == 2:
             if parts[0] in header:
                 raise ValueError(f"bad line: {raw!r} (second {parts[0]} header)")
-            header[parts[0]] = int(parts[1])
+            header[parts[0]] = _integer(parts[1], raw)
         elif parts[0] == "rule" and (parts[3:] == ["->", "STOP"] or len(parts) == 7 and parts[3] == "->"):
-            pair = (int(parts[1]), int(parts[2]))
+            pair = (_integer(parts[1], raw), _integer(parts[2], raw))
             if pair in table:
                 raise ValueError(f"bad line: {raw!r} (second rule for {pair})")
-            table[pair] = Move(parts[4], int(parts[5]), int(parts[6])) if len(parts) == 7 else STOP
+            table[pair] = Move(parts[4], _integer(parts[5], raw), _integer(parts[6], raw)) if len(parts) == 7 else STOP
         else:
             raise ValueError(f"bad line: {raw!r}")
     if "states" not in header or "colors" not in header:
@@ -198,13 +211,14 @@ def parse_config(text: str) -> TMConfig:
             raise ValueError(f"bad line: {raw!r} (no ':' after {key!r})")
         if key in fields:
             raise ValueError(f"bad line: {raw!r} (second {key!r} field)")
-        fields[key] = value.strip()
+        fields[key] = raw, value.strip()
     for key in _CONFIG_FIELDS:
         if key not in fields:
             raise ValueError(f"missing config field {key!r}")
+    (lraw, left), (sraw, state), (craw, cell), (rraw, right) = map(fields.__getitem__, _CONFIG_FIELDS)
     return TMConfig(
-        left=tuple(int(x) for x in fields["left"].split()),
-        state=int(fields["state"]),
-        current=int(fields["cell"]),
-        right=tuple(int(x) for x in fields["right"].split()),
+        left=tuple(_integer(x, lraw) for x in left.split()),
+        state=_integer(state, sraw),
+        current=_integer(cell, craw),
+        right=tuple(_integer(x, rraw) for x in right.split()),
     )

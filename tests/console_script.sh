@@ -20,8 +20,15 @@ test "$out" = "$(printf 'normal form: 1 * R Q4 P0 a1 R t\nsteps: 2')"
 code=0
 ncrewrite normalize --presentation zerodivisor.rules --word "a01" || code=$?
 test "$code" = 2
-# two machine commands on the README configuration, which is removed again
+# machine commands on the README configuration, which is removed again
 printf 'left: 3\nstate: 2\ncell: 3\nright:\n' > config.txt
+# it halts after one step: exactly at a budget of 1, still running at 0
+out=$(ncrewrite tm-run --config config.txt --budget 1)
+echo "$out"
+test "$(echo "$out" | head -n 1)" = "halted after 1 steps"
+out=$(ncrewrite tm-run --config config.txt --budget 0)
+echo "$out"
+test "$(echo "$out" | head -n 1)" = "still running after 0 steps"
 out=$(ncrewrite lockstep --config config.txt --steps 5 --construction zerodivisor)
 echo "$out"
 test "$(echo "$out" | tail -n 1)" = "2 steps matched"
@@ -29,6 +36,14 @@ out=$(ncrewrite zerodivisor --config config.txt --nmax 5)
 echo "$out"
 test "$out" = "zero divisor: t^1 annihilates L a3 Q2 P3 R from the left"
 rm config.txt
+# a run that walks off the right end of the tape reads fresh cells of color 0
+printf 'left: 1\nstate: 2\ncell: 0\nright: 1 2\n' > walk.txt
+out=$(ncrewrite tm-run --config walk.txt --budget 3)
+echo "$out"
+rm walk.txt
+for line in "still running after 3 steps" "left: 1 2 1 0" "cell: 0"; do
+  echo "$out" | grep -qx "$line"
+done
 # the cancellation probe of the installed package: exit 0, no violation
 code=0
 out=$(ncrewrite cancellation-probe --samples 200 --max-len 12 --seed 3) || code=$?

@@ -3,11 +3,14 @@
 The reduction oracles share no code with the library's normalizer: they
 read the raw rule list and find redexes by plain slicing, without the
 Aho-Corasick automaton, so agreement with ``normalize`` is evidence from a
-second, independent path.  ``config_word`` draws the words that reach the
-long left-hand sides of the compute rules.  ``resolve_ambiguity`` is the
-diamond-lemma check on one ambiguity, ``deg_t`` and ``htilde`` the
-invariants the nilpotency and zero-divisor rules conserve, and the two tiny
-machines are small enough for brute force.  ``matcher_tables`` is the
+second, independent path.  ``decode_structure`` reads a word back as the
+configuration it encodes, with its own table of edge letters, so a round
+trip checks ``encode_config`` against a reading that shares no code with
+it.  ``config_word`` draws the words that reach the long left-hand sides of
+the compute rules.  ``resolve_ambiguity`` is the diamond-lemma check on one
+ambiguity, ``deg_t`` and ``htilde`` the invariants the nilpotency and
+zero-divisor rules conserve, and the two tiny machines are small enough for
+brute force.  ``matcher_tables`` is the
 Aho-Corasick build as it was before ``Matcher`` folded its failure links
 over one breadth-first list: per-node lists kept during insertion and a
 deque of (state, failure state) pairs.  ``annihilate_reference`` and
@@ -25,7 +28,9 @@ from ncrewrite import NILPOTENCY, ZERO_DIVISOR, DecisionOutcome, Move, Polynomia
 from ncrewrite.harness import _presentation, _random_structured_word, _random_word
 from ncrewrite.rewrite import concat, normalize
 from ncrewrite.turing import STOP, minsky_utm
-from ncrewrite.words import letter_kind, psi_alphabet
+from ncrewrite.words import AlphabetError, letter_kind, psi_alphabet
+
+EDGE = {NILPOTENCY: "R", ZERO_DIVISOR: "L"}  # left edge of a configuration word
 
 
 def tiny_halting_machine():
@@ -58,6 +63,29 @@ def htilde(w):
     for letter in w:
         letter_kind(letter)  # validates token shape
     return w.count("t") + w.count("s")
+
+
+def decode_structure(w, construction):
+    """Configuration encoded by w after deleting all t and s letters.
+
+    Returns None when the t/s-free residue is not a well-formed
+    configuration word.
+    """
+    core = tuple(x for x in w if x not in ("t", "s"))
+    if len(core) < 4 or core[0] != EDGE[construction] or core[-1] != "R":
+        return None
+    body = core[1:-1]
+    try:
+        kinds = [letter_kind(x) for x in body]
+    except AlphabetError:  # a token that is not a letter
+        return None
+    if "state" not in kinds:
+        return None
+    q = kinds.index("state")  # the expected kinds have one state, at q
+    if kinds != ["cell"] * q + ["state", "color"] + ["cell"] * (len(kinds) - q - 2):
+        return None
+    index = [int(x[1:]) for x in body]  # each a cell, state or color letter
+    return TMConfig(left=tuple(index[:q]), state=index[q], current=index[q + 1], right=tuple(index[q + 2:]))
 
 
 def rewrite_at(w, pos, rule):

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without a caller yet, one reason each
 ALLOWED = {
-    "decode_structure": "the lockstep divergence report will decode words with it",
     "format_tm_spec": "writes the documented machine format that parse_tm_spec reads",
 }
 

@@ -13,7 +13,6 @@ from ncrewrite import (
     TMConfig,
     annihilate_bounded,
     cancellation_probe,
-    decode_structure,
     encode_config,
     lockstep,
     make_presentation,
@@ -29,7 +28,14 @@ from ncrewrite import harness
 from ncrewrite.orders import DEGLEX, ReductionOrder
 from ncrewrite.rewrite import concat
 from ncrewrite.turing import STOP
-from oracles import annihilate_reference, cancellation_probe_reference, deg_t, htilde, nilpotent_reference
+from oracles import (
+    annihilate_reference,
+    cancellation_probe_reference,
+    decode_structure,
+    deg_t,
+    htilde,
+    nilpotent_reference,
+)
 
 
 class TestHtilde:
@@ -81,6 +87,19 @@ class TestLockstep:
         assert report.divergence == 0
         rec = report.records[0]
         assert rec.actual.is_zero() and not rec.expected.is_zero() and not rec.matched
+
+    @pytest.mark.parametrize("construction,edge,mover", [(NILPOTENCY, "R", "t"), (ZERO_DIVISOR, "L", "s")])
+    def test_divergence_after_a_matched_step(self, minsky, p_nilp, p_zd, construction, edge, mover):
+        # without the rules of the right move from (2,1) the second step stalls
+        p = p_nilp if construction == NILPOTENCY else p_zd
+        kept = tuple(r for r in p.rules if "[i=2,j=1," not in r.tag)
+        assert len(p.rules) - len(kept) == (104 if construction == NILPOTENCY else 24)
+        report = lockstep(minsky, self.RUNNING, 5, construction, presentation=Presentation(kept, p.order))
+        assert report.divergence == 1 and not report.halted
+        assert [rec.matched for rec in report.records] == [True, False]
+        rec = report.records[1]
+        assert rec.actual == Polynomial.from_word(parse_word(f"{edge} a1 t a2 Q2 P1 a2 R"))
+        assert rec.expected == Polynomial.from_word(parse_word(f"{edge} a1 a2 a1 Q2 P2 R {mover}"))
 
     def test_divergence_at_a_halt_pair(self, minsky, p_nilp):
         # without the tt7 rule Q4 P3 -> 0 the halt pair's word stays nonzero
@@ -167,6 +186,22 @@ class TestDeciders:
         assert nilpotent_bounded(minsky, c, 3, presentation=p_nilp) == DecisionOutcome.unknown(3)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("construction", [NILPOTENCY, ZERO_DIVISOR])
+    def test_annihilate_reduces_once_per_power(self, minsky, construction, monkeypatch):
+        # t * encode(c0) is the first power's word: c0 is not reduced on its own
+        calls = []
+        reduce_word = harness._reduce_word
+
+        def counting(w, p, *args):
+            calls.append(w)
+            return reduce_word(w, p, *args)
+
+        monkeypatch.setattr(harness, "_reduce_word", counting)
+        c = TMConfig((), 2, 0, ())
+        assert not tm_run(minsky, c, 3).halted
+        assert annihilate_bounded(minsky, c, 3, construction) == DecisionOutcome.unknown(3)
+        assert len(calls) == 3 and calls[0] == ("t",) + encode_config(c, construction)
+
     def test_monotonicity(self, minsky, p_nilp):
         c = TMConfig((3,), 2, 3, ())
         first = annihilate_bounded(minsky, c, 1, presentation=p_nilp)
@@ -211,7 +246,7 @@ class TestConstructionContract:
             annihilate_bounded(minsky, self.C, 5, "bogus", presentation=p_zd)
 
     @pytest.mark.parametrize("entry,given", [
-        ("make_presentation", None), ("encode_config", None), ("decode_structure", None),
+        ("make_presentation", None), ("encode_config", None),
         *[(entry, given) for entry in ("lockstep", "annihilate_bounded") for given in (None, "nilpotency", "deglex")],
     ])
     def test_unknown_construction_refused(self, minsky, p_nilp, entry, given):
@@ -221,7 +256,6 @@ class TestConstructionContract:
         run = {
             "make_presentation": lambda: make_presentation(minsky, "bogus"),
             "encode_config": lambda: encode_config(self.C, "bogus"),
-            "decode_structure": lambda: decode_structure(parse_word("R a3 Q2 P3 R"), "bogus"),
             "lockstep": lambda: lockstep(minsky, self.C, 2, "bogus", presentation=presentation),
             "annihilate_bounded": lambda: annihilate_bounded(minsky, self.C, 5, "bogus", presentation=presentation),
         }[entry]

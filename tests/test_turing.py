@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ncrewrite import (
     Move,
+    RunResult,
     TMConfig,
     TMSpec,
     format_config,
@@ -53,6 +54,11 @@ class TestTmStep:
         c = TMConfig((), 0, 2, ())
         assert tm_step(minsky, c) == TMConfig((0,), 0, 0, ())
 
+    def test_right_move_nonempty_tape(self, minsky):
+        # (2,0) -> (R,2,2); the next cell comes off the right tape
+        c = TMConfig((1,), 2, 0, (1, 2))
+        assert tm_step(minsky, c) == TMConfig((1, 2), 2, 1, (2,))
+
     def test_left_move_empty_tape(self, minsky):
         # (0,0) -> (L,4,1)
         c = TMConfig((), 0, 0, ())
@@ -86,6 +92,15 @@ class TestTmRun:
     def test_still_running(self, minsky):
         result = tm_run(minsky, TMConfig((), 2, 0, ()), 3)
         assert not result.halted and result.steps == 3
+
+    def test_halts_exactly_at_the_budget(self, minsky):
+        # one step to the halt pair (4,3), with a budget of one step
+        assert tm_run(minsky, TMConfig((3,), 2, 3, ()), 1) == RunResult(True, 1, TMConfig((), 4, 3, (1,)))
+
+    def test_zero_budget(self, minsky):
+        halt, running = TMConfig((), 4, 3, ()), TMConfig((), 2, 0, ())
+        assert tm_run(minsky, halt, 0) == RunResult(True, 0, halt)
+        assert tm_run(minsky, running, 0) == RunResult(False, 0, running)
 
     def test_trace(self, minsky):
         # the run tm_run summarizes, step by step with tm_step
@@ -216,6 +231,31 @@ class TestTextFormats:
     def test_short_or_malformed_line(self, line):
         with pytest.raises(ValueError, match="bad line"):
             parse_tm_spec(f"states 1\ncolors 1\n{line}\n")
+
+    # one spelling per integer: ASCII digits, no leading zero, no "+" or "_"
+    @pytest.mark.parametrize("line,token", [
+        ("states x", "x"), ("states ٢", "٢"), ("colors +1", "+1"), ("colors 01", "01"),
+        ("rule 0 y -> STOP", "y"), ("rule 0 0 -> R 0_0 0", "0_0"), ("rule 0 0 -> L 0 -0", "-0"),
+    ])
+    def test_spec_integer_spelling(self, line, token):
+        # the line takes the place of its keyword's line in a valid one-pair machine
+        lines = {"states": "states 1", "colors": "colors 1", "rule": "rule 0 0 -> STOP"}
+        lines[line.split()[0]] = line
+        with pytest.raises(ValueError) as exc:
+            parse_tm_spec("\n".join(lines.values()) + "\n")
+        assert str(exc.value) == f"bad line: {line!r} (not an integer: {token!r})"
+
+    @pytest.mark.parametrize("line,token", [
+        ("left: x", "x"), ("left: ١ 1_0 +2", "١"), ("left: 1 1_0", "1_0"), ("right: 0 +2", "+2"),
+        ("state: ٢", "٢"), ("state: 1 2", "1 2"), ("cell: 03", "03"), ("cell:", ""),
+    ])
+    def test_config_integer_spelling(self, line, token):
+        # the line takes the place of its field's line in a valid configuration
+        fields = {key: f"{key}: 0" for key in ("left", "state", "cell", "right")}
+        fields[line.split(":")[0]] = line
+        with pytest.raises(ValueError) as exc:
+            parse_config("\n".join(fields.values()) + "\n")
+        assert str(exc.value) == f"bad line: {line!r} (not an integer: {token!r})"
 
     @pytest.mark.parametrize("line", ["state: 3", "right: 1", "bogus: 4", "cells: 1"])
     def test_repeated_or_unknown_config_field(self, line):
