@@ -115,13 +115,16 @@ def annihilate_bounded(
 
     Each power multiplies the previous normal form w by t, so the reduction
     of t w may stop reading once it is inside w (see ``_reduce_word``).  The
-    first power reads t * encode(c0) whole: the configuration word is not
-    reduced first, since on a halt pair it holds that one redex.  For a
-    Gröbner basis (both constructions, criterion 1) every word has one
-    normal form, NF(t w) = NF(t NF(w)), so the outcome is that of the raw
-    powers.  For other rule sets a found(N) is still a reduction of
-    t^N * encode(c0) to zero, but the smallest such N can depend on where
-    the normal forms are taken.
+    word is kept reversed in one list across all powers: the letters a
+    reduction read go back on it, then the next t, so no power copies the
+    unread rest of w, such as the t letters that earlier powers left at its
+    end.  The first power reads t * encode(c0) whole: the configuration
+    word is not reduced first, since on a halt pair it holds that one
+    redex.  For a Gröbner basis (both constructions, criterion 1) every
+    word has one normal form, NF(t w) = NF(t NF(w)), so the outcome is that
+    of the raw powers.  For other rule sets a found(N) is still a reduction
+    of t^N * encode(c0) to zero, but the smallest such N can depend on
+    where the normal forms are taken.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -129,12 +132,15 @@ def annihilate_bounded(
     p = _presentation(spec, construction, presentation)
     w = encode_config(c0, construction)
     check_alphabet(w + ("t",), p.letters)
-    normal = 0  # letters at the end of w known to hold no redex
+    pending = list(reversed(w))  # the word, next letter last
+    normal = 0  # letters at the bottom of pending known to hold no redex
     for n in range(1, nmax + 1):
-        w, _ = _reduce_word(("t",) + w, p, DEFAULT_BUDGET, normal)
-        if w is None:
+        pending.append("t")
+        letters = _reduce_word(pending, p, DEFAULT_BUDGET, normal)[0]
+        if letters is None:
             return DecisionOutcome.found(n)
-        normal = len(w)
+        pending += reversed(letters)
+        normal = len(pending)
     return DecisionOutcome.unknown(nmax)
 
 
@@ -251,12 +257,19 @@ def cancellation_probe(
             continue
         produced += 1
         (y,) = nf.terms
-        z: Optional[Word] = y  # NF(s^n y), built one s at a time on a normal tail
+        # NF(s^n y) reversed, built one s at a time on a normal tail; None once zero
+        z: Optional[list[str]] = list(reversed(y))
         for n in (1, 2, 3):
-            if right_t and _reduce_word(y + ("t",) * n, p, DEFAULT_BUDGET)[0] is None:
+            if right_t and _reduce_word(["t"] * n + list(reversed(y)), p, DEFAULT_BUDGET)[0] is None:
                 violations.append((x, "right-t", n))
             if z is not None:
-                z = _reduce_word(("s",) + z, p, DEFAULT_BUDGET, len(z))[0]
+                normal = len(z)
+                z.append("s")
+                letters = _reduce_word(z, p, DEFAULT_BUDGET, normal)[0]
+                if letters is None:
+                    z = None
+                else:
+                    z += reversed(letters)
             if z is None:
                 violations.append((x, "left-s", n))
         if produced == samples:

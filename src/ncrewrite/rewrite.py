@@ -14,8 +14,10 @@ Normalization reads a word once through a deterministic Aho-Corasick
 automaton over all rule left-hand sides, one lookup per letter: up to the
 first pattern end, then on while a better redex may still complete.  The
 reduced prefix is kept as a stack of letters and automaton states; a
-rewrite pops the left-hand side, puts the letters read past it and the
-right-hand side back in front of the unread input: constant work per step.
+rewrite pops the left-hand side, puts the letters read past it back in
+front of the unread input, and the right-hand side on the stack up to its
+first pattern end and the rest in front of the input (see Right-hand
+sides): constant work per step.
 
 Sweeps.  A machine step is one letter (``t``, or the ``s`` it turns into)
 crossing the tape one cell per commutation rule.  Building the automaton
@@ -36,22 +38,41 @@ every letter once.
 
 Normal tails.  The bounded deciders multiply a word the engine has just
 normalized by one letter, so ``_reduce_word``, the reduction loop behind
-``normalize``'s entry scan, takes the length of a tail of its word that the
-caller knows is normal.  Once the automaton has read, from that tail, at
-least as many letters as the depth of its state (``horizon`` bounds the
-depth) with no redex pending, no pattern can end in the rest of the tail
-(Aho & Corasick, CACM 1975), and the loop returns it unread.  No step is
-skipped, so normal forms, step counts and ``BudgetExhausted`` stay as a
-full read gives them, for any rule set.  ``annihilate_bounded`` (on the
-configuration word and each power) and ``cancellation_probe`` check the
-alphabet once and call the loop directly; the probe derives its words from
-the normal form Y of its sample, as Y t^n, reduced only when some lhs ends
-in t (a redex of Y t^n ends in an appended t), and as s times the normal
-form of s^(n-1) Y, one s on a normal tail.  In a traced benchmark run, the
-rewriting they do shows as their own time.  ``lockstep`` and
-``nilpotent_bounded`` still go through ``normalize`` and ``concat``, and
-every ``normalize`` call through the entry scan, because the benchmark's
-traced mode requires calls on those spans.
+``normalize``'s entry scan, reads from a list its caller owns: the unread
+input reversed, next letter last, whose bottom ``normal`` letters the
+caller knows to be a normal tail.  Once the automaton has read, from that
+tail, at least as many letters as the depth of its state (``horizon``
+bounds the depth) with no redex pending, no pattern can end in the rest of
+the tail (Aho & Corasick, CACM 1975), and the loop leaves it unread in the
+list and returns the normal prefix it read.  No step is skipped, so normal
+forms, step counts and ``BudgetExhausted`` stay as a full read gives them,
+for any rule set.  ``annihilate_bounded`` keeps one list across all its
+powers: after each power it pushes the prefix back and appends the next t,
+so a power costs the letters it reads, and the t^n that earlier powers left
+at the end of the word is never read or copied.  On Antihydra from the
+blank tape, 10^4 powers take about 0.12 s and 3*10^4 about 0.43 s, 9x and
+21x faster than copying the word each power did; a power costs time linear
+in the tape that its t crosses (138 cells at 10^4 steps, 435 at 10^5), not
+in the number of powers (``BENCH_longrun.json``).  ``cancellation_probe``
+checks the alphabet once and calls the loop directly on the words it
+derives from the normal form Y of its sample: Y t^n, reduced only when
+some lhs ends in t (a redex of Y t^n ends in an appended t), and s^n Y,
+one list per sample that takes one s at a time on a normal tail.  In a
+traced benchmark run, the rewriting they do shows as their own time.
+``lockstep`` and ``nilpotent_bounded`` still go through ``normalize`` and
+``concat``, and every ``normalize`` call through the entry scan, because
+the benchmark's traced mode requires calls on those spans.
+
+Right-hand sides.  After a rewrite the loop goes on from the state q its
+stack holds at the redex, and the rhs letters it reads from q until a
+pattern ends depend on q and the rule alone.  ``Presentation.walks`` keeps
+them per (q, rule id), with their states (``_rhs_walk``), filled by the
+loop the first time it meets the pair, as ``sweeps`` is built by the first
+reduction.  The loop puts those letters and states straight on its stack
+and pushes back on the input only the rest of the rhs, from the letter
+where a pattern ends.  Read one at a time they would enter the same states,
+and they lie above the normal tail, so the tail stop cannot fire among
+them: normal forms, step counts and ``BudgetExhausted`` do not change.
 
 Compile cost.  Compiling Minsky's machine, the 1560 nilpotency and 441
 zero-divisor rules with both automata and sweep tables, costs about 5.9 ms
@@ -378,6 +399,12 @@ class Presentation:
         (see ``_sweep_table``); built by the first reduction that reads it."""
         return _sweep_table(self.rules, self.matcher)
 
+    @functools.cached_property
+    def walks(self) -> dict[tuple[int, int], tuple[Word, tuple[int, ...], Word]]:
+        """(state at a redex, rule id) -> the walk of the rule's rhs from that
+        state (see ``_rhs_walk``); the reduction loop fills it on first use."""
+        return {}
+
     @property
     def construction(self) -> str:
         return "custom" if self.order.kind == DEGLEX else self.order.kind
@@ -405,9 +432,28 @@ class BudgetExhausted(RuntimeError):
         self.remaining_redexes = remaining_redexes
 
 
-def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tuple[Optional[Word], int]:
-    """Normal form of w (None for zero) and the rewrite steps used; the
-    caller vouches that the last ``normal`` letters of w hold no redex.
+def _rhs_walk(matcher: Matcher, q: int, rhs: Word) -> tuple[Word, tuple[int, ...], Word]:
+    """The walk of rhs from state q: the letters read before a pattern
+    ends, their states, and the rest of rhs reversed, from the letter where
+    a pattern ends on."""
+    goto, out = matcher._goto, matcher._out
+    states = []
+    s = q
+    for k, x in enumerate(rhs):
+        s = goto[s].get(x, 0)
+        if out[s]:
+            return rhs[:k], tuple(states), rhs[k:][::-1]
+        states.append(s)
+    return rhs, tuple(states), ()
+
+
+def _reduce_word(pending: list[str], p: Presentation, budget: int,
+                 normal: int = 0) -> tuple[Optional[list[str]], int]:
+    """Reduce the word that ``pending`` holds reversed (next letter last):
+    the normal prefix read (None for zero) and the rewrite steps used.  The
+    caller vouches that the bottom ``normal`` letters of ``pending`` hold no
+    redex; the normal form is the prefix followed by what is left in
+    ``pending``, reversed.
 
     Rewrites the leftmost redex each time, the lowest rule id among those
     at the same position; by confluence any other choice reaches the same
@@ -419,14 +465,13 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
     normal tail.  Once the last ``mark - len(pending)`` letters read all
     came from it, at least ``horizon[s]`` of them, and no redex is pending,
     every pattern the rest of the tail could complete would lie inside the
-    tail: the rest is read without a match, so it is returned unread.
+    tail: the rest is read without a match, so it is left unread.
     """
     matcher = p.matcher
     goto, out, horizon = matcher._goto, matcher._out, matcher._horizon
-    rules, lhs_len, sweeps = p.rules, matcher.lengths, p.sweeps
+    rules, lhs_len, sweeps, walks = p.rules, matcher.lengths, p.sweeps, p.walks
     letters: list[str] = []  # the prefix read so far
     states = [0]  # states[k]: automaton state after letters[:k]
-    pending = list(reversed(w))  # input still to read, next letter last
     pop, read, enter = pending.pop, letters.append, states.append
     mark = normal  # lowered to len(pending) before anything is pushed on it
     steps = s = 0  # s: the state on top of states
@@ -439,9 +484,9 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
             if out[s]:
                 break
             if mark and mark - len(pending) >= horizon[s]:
-                return tuple(letters + pending[::-1]), steps
+                return letters, steps
         else:
-            return tuple(letters), steps
+            return letters, steps
         rid = out[s][0]
         pos = len(letters) - lhs_len[rid]  # best redex so far, at (pos, rid)
         # A pattern prefix still being read that starts before pos, or at
@@ -480,17 +525,24 @@ def _reduce_word(w: Word, p: Presentation, budget: int, normal: int = 0) -> tupl
                 s = 0
                 continue
         steps += 1
-        rhs = rules[rid].rhs
-        if rhs is None:
-            return None, steps
+        q = states[pos]
+        walk = walks.get((q, rid))
+        if walk is None:
+            rhs = rules[rid].rhs
+            if rhs is None:
+                return None, steps
+            walk = walks[q, rid] = _rhs_walk(matcher, q, rhs)
         if mark > len(pending):
             mark = len(pending)
         end = pos + lhs_len[rid]
         if len(letters) > end:  # letters read past the lhs go back, next one last
             pending += letters[:end - 1:-1]
-        pending += rhs[::-1]
-        del letters[pos:]
-        del states[pos + 1:]
+        # the rhs letters read from q before a pattern ends go straight on
+        # the stack; the rest goes back in front of the unread input
+        prefix, entered, rest = walk
+        pending += rest
+        letters[pos:] = prefix
+        states[pos + 1:] = entered
         s = states[-1]
 
 
@@ -511,11 +563,12 @@ def normalize(
         nf = w
         if p.matcher.redexes(w):
             try:
-                nf, steps = _reduce_word(w, p, budget - total)
+                letters, steps = _reduce_word(list(reversed(w)), p, budget - total)
             except BudgetExhausted as exc:
                 raise BudgetExhausted(exc.partial, total + exc.steps, exc.remaining_redexes)
             total += steps
-            if nf is None:
+            if letters is None:
                 continue
+            nf = tuple(letters)  # with no normal tail the loop reads the whole word
         _add_term(out, nf, c)
     return Polynomial._of(out), total

@@ -123,19 +123,33 @@ def tm_step(spec: TMSpec, c: TMConfig) -> Optional[TMConfig]:
 def tm_run(spec: TMSpec, c: TMConfig, budget: int) -> RunResult:
     """Iterate tm_step up to budget steps.
 
-    The loop takes at most ``budget`` steps; the configuration it ends on is
-    then asked once more whether it halts, so a run that reaches a halt
-    pair exactly at the budget reports halted.
+    The loop keeps the tape as two lists with the nearest cell last, so a
+    step costs the same on any tape, stops at a halt pair or after
+    ``budget`` steps, and builds one configuration at the end.  That
+    configuration is then asked once, by ``tm_step``, whether it halts, so
+    a run that reaches a halt pair exactly at the budget reports halted.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     c.validate(spec)
+    table = spec.table
+    left, right = list(c.left), list(reversed(c.right))  # nearest cell last
+    q, j = c.state, c.current
+    steps = budget
     for k in range(budget):
-        nxt = tm_step(spec, c)
-        if nxt is None:
-            return RunResult(True, k, c)
-        c = nxt
-    return RunResult(tm_step(spec, c) is None, budget, c)
+        entry = table[q, j]
+        if entry is STOP:
+            steps = k
+            break
+        if entry.direction == "L":
+            right.append(entry.color)
+            j = left.pop() if left else 0
+        else:
+            left.append(entry.color)
+            j = right.pop() if right else 0
+        q = entry.state
+    c = TMConfig(tuple(left), q, j, tuple(reversed(right)))
+    return RunResult(tm_step(spec, c) is None, steps, c)
 
 
 # one spelling per integer: ASCII digits, no leading zero, no "+" or "_"; the

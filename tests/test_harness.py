@@ -192,9 +192,9 @@ class TestDeciders:
         calls = []
         reduce_word = harness._reduce_word
 
-        def counting(w, p, *args):
-            calls.append(w)
-            return reduce_word(w, p, *args)
+        def counting(pending, p, *args):
+            calls.append(tuple(reversed(pending)))  # the word this call reads
+            return reduce_word(pending, p, *args)
 
         monkeypatch.setattr(harness, "_reduce_word", counting)
         c = TMConfig((), 2, 0, ())

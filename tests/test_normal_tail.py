@@ -1,8 +1,10 @@
 """The reduction loop stops reading at a tail that its caller knows is normal.
 
-``_reduce_word(u + y, p, budget, len(y))`` with y normal must give exactly
-what reading the whole word gives: the normal form and the step count, or
-the ``BudgetExhausted`` partial word, steps and remaining redexes.
+``_reduce_word(pending, p, budget, len(y))``, with ``pending`` the word u y
+reversed in a list and y normal, must give exactly what reading the whole
+word gives: the normal form (the prefix read, then the rest of ``pending``
+reversed) and the step count, or the ``BudgetExhausted`` partial word,
+steps and remaining redexes.
 """
 
 import random
@@ -24,11 +26,15 @@ def full_read(w, p, budget):
 
 
 def tail_read(w, p, budget, normal):
+    pending = list(reversed(w))
     try:
-        nf, steps = _reduce_word(w, p, budget, normal)
+        letters, steps = _reduce_word(pending, p, budget, normal)
     except BudgetExhausted as exc:
         return exc.partial, exc.steps, exc.remaining_redexes
-    return (Polynomial.zero() if nf is None else Polynomial.from_word(nf)), steps
+    if letters is None:
+        return Polynomial.zero(), steps
+    # the normal form is the prefix read, then the unread rest of the list
+    return Polynomial.from_word(tuple(letters + pending[::-1])), steps
 
 
 def normal_word(w, p, budget=10**4):

@@ -28,6 +28,7 @@ from ncrewrite import (
     parse_word,
     zerodivisor_order,
 )
+from ncrewrite import rewrite
 from ncrewrite.orders import DEGLEX, ReductionOrder
 from oracles import LeftmostOracle, RightmostOracle, config_word, matcher_tables, one_step_rewrites
 
@@ -361,6 +362,84 @@ class TestRedexChoice:
             assert exc.value.steps == k
             assert (Polynomial.from_word(partial), k) == oracle.normalize(w, max_steps=k)
             assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], partial))
+
+
+
+class TestRhsWalks:
+    """After a rewrite the loop takes the rhs letters readable before a
+    pattern ends from ``Presentation.walks`` and reads only the rest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pattern_inside_an_rhs(self, data):
+        # a rule whose rhs holds another lhs with letters after it, so a
+        # pattern ends part-way through the rhs walk; every rhs is shorter
+        # than its lhs, so the rule set terminates
+        alphabet = ("a0", "a1", "a2", "a3")
+        letters = st.sampled_from(alphabet)
+        short = data.draw(st.lists(st.lists(letters, min_size=1, max_size=2).map(tuple), min_size=1, max_size=3))
+        rules = [Rule(lhs, data.draw(st.one_of(st.none(), st.lists(letters, max_size=len(lhs) - 1).map(tuple))))
+                 for lhs in short]
+        inner = data.draw(st.sampled_from(short))
+        before, after = (data.draw(st.lists(letters, min_size=k, max_size=1).map(tuple)) for k in (0, 1))
+        rhs = before + inner + after
+        lhs = data.draw(st.lists(letters, min_size=len(rhs) + 1, max_size=len(rhs) + 2).map(tuple))
+        rules.insert(data.draw(st.integers(0, len(rules))), Rule(lhs, rhs))
+        p = Presentation(tuple(rules), ReductionOrder(DEGLEX, alphabet))
+        w = data.draw(st.lists(letters, max_size=4).map(tuple)) + lhs + data.draw(
+            st.lists(letters, max_size=4).map(tuple))
+        oracle = LeftmostOracle(rules)
+        nf, steps = normalize(Polynomial.from_word(w), p)
+        assert (nf, steps) == oracle.normalize(w)
+        assume(any(rest for _, _, rest in p.walks.values()))
+        for k in range(steps):
+            with pytest.raises(BudgetExhausted) as exc:
+                normalize(Polynomial.from_word(w), p, budget=k)
+            partial = exc.value.partial
+            assert (Polynomial.from_word(partial), exc.value.steps) == oracle.normalize(w, max_steps=k)
+            assert exc.value.remaining_redexes == len(naive_scan([r.lhs for r in rules], partial))
+
+    @pytest.mark.parametrize("construction", [NILPOTENCY, ZERO_DIVISOR])
+    def test_walks_are_the_automaton_read(self, construction):
+        # each entry is rhs read from its state up to the first pattern end
+        p = make_presentation(minsky_utm(), construction)
+        rng = random.Random(7)
+        for _ in range(100):
+            normalize(Polynomial.from_word(config_word(rng, construction, cells=6)), p)
+        goto, out = p.matcher._goto, p.matcher._out
+        assert len(p.walks) > 50
+        for (q, rid), (prefix, entered, rest) in p.walks.items():
+            rhs = p.rules[rid].rhs
+            assert prefix + rest[::-1] == rhs
+            s, path = q, []
+            for x in prefix:
+                s = goto[s].get(x, 0)
+                path.append(s)
+            assert tuple(path) == entered and not any(out[s] for s in path)
+            assert not rest or out[goto[s].get(rest[-1], 0)]
+
+    def test_each_walk_computed_once_per_presentation(self, monkeypatch):
+        calls = []
+        walk = rewrite._rhs_walk
+
+        def counting(matcher, q, rhs):
+            calls.append(q)
+            return walk(matcher, q, rhs)
+
+        monkeypatch.setattr(rewrite, "_rhs_walk", counting)
+        rng = random.Random(3)
+        words = [("t",) * rng.randint(1, 2) + config_word(rng, NILPOTENCY, cells=4) for _ in range(60)]
+        first = make_presentation(minsky_utm(), NILPOTENCY)
+        forms = [normalize(Polynomial.from_word(w), first) for w in words]
+        # one entry per (state, rule id) and one call per entry: none computed twice
+        assert len(calls) == len(first.walks) > 10
+        # the same words again read every walk from the table
+        assert [normalize(Polynomial.from_word(w), first) for w in words] == forms
+        assert len(calls) == len(first.walks)
+        # another presentation of the same machine fills its own table
+        second = make_presentation(minsky_utm(), NILPOTENCY)
+        assert [normalize(Polynomial.from_word(w), second) for w in words] == forms
+        assert len(calls) == 2 * len(first.walks) and second.walks == first.walks
 
 
 COEFFS = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 6))

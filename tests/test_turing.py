@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrewrite import (
@@ -116,6 +116,29 @@ class TestTmRun:
     def test_negative_budget_rejected(self, minsky):
         with pytest.raises(ValueError, match="budget"):
             tm_run(minsky, TMConfig((), 0, 0, ()), -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_iterated_tm_step(self, data):
+        # random machines, configurations and budgets against tm_step, one step at a time
+        states, colors = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        entry = st.one_of(st.just(STOP), st.builds(
+            Move, st.sampled_from("LR"), st.integers(0, states - 1), st.integers(0, colors - 1)))
+        spec = TMSpec(states, colors, {(i, j): data.draw(entry) for i in range(states) for j in range(colors)})
+        tape = st.lists(st.integers(0, colors - 1), max_size=6).map(tuple)
+        c = TMConfig(data.draw(tape), data.draw(st.integers(0, states - 1)),
+                     data.draw(st.integers(0, colors - 1)), data.draw(tape))
+        limit = data.draw(st.integers(0, 40))
+        trace = [c]
+        while len(trace) <= limit and (nxt := tm_step(spec, trace[-1])) is not None:
+            trace.append(nxt)
+        halt_at = len(trace) - 1 if len(trace) <= limit else None  # steps to a halt pair
+        budgets = {limit, data.draw(st.integers(0, limit))}
+        if halt_at is not None:
+            budgets |= {halt_at, max(halt_at - 1, 0)}  # exactly at the budget, and one short of it
+        for budget in budgets:
+            k = min(budget, len(trace) - 1)
+            assert tm_run(spec, c, budget) == RunResult(tm_step(spec, trace[k]) is None, k, trace[k])
 
 
 class TestValidation:
