@@ -13,7 +13,7 @@ from typing import Optional
 
 from .encodings import _construction, encode_config, make_presentation
 from .orders import NILPOTENCY, ZERO_DIVISOR
-from .rewrite import DEFAULT_BUDGET, Polynomial, Presentation, _reduce_word, concat, normalize
+from .rewrite import Polynomial, Presentation, _first_zero_power, concat, normalize
 from .turing import TMConfig, TMSpec, minsky_utm, tm_step
 from .words import Word, check_alphabet, psi_alphabet
 
@@ -113,18 +113,10 @@ def annihilate_bounded(
 ) -> DecisionOutcome:
     """Smallest N <= nmax with t^N * encode(c0) normalizing to zero.
 
-    Each power multiplies the previous normal form w by t, so the reduction
-    of t w may stop reading once it is inside w (see ``_reduce_word``).  The
-    word is kept reversed in one list across all powers: the letters a
-    reduction read go back on it, then the next t, so no power copies the
-    unread rest of w, such as the t letters that earlier powers left at its
-    end.  The first power reads t * encode(c0) whole: the configuration
-    word is not reduced first, since on a halt pair it holds that one
-    redex.  For a Gröbner basis (both constructions, criterion 1) every
-    word has one normal form, NF(t w) = NF(t NF(w)), so the outcome is that
-    of the raw powers.  For other rule sets a found(N) is still a reduction
-    of t^N * encode(c0) to zero, but the smallest such N can depend on
-    where the normal forms are taken.
+    One power of t at a time, each on the normal form of the last (see
+    ``_first_zero_power``).  The first power reads t * encode(c0) whole:
+    the configuration word is not reduced first, since on a halt pair it
+    holds that one redex.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -132,16 +124,8 @@ def annihilate_bounded(
     p = _presentation(spec, construction, presentation)
     w = encode_config(c0, construction)
     check_alphabet(w + ("t",), p.letters)
-    pending = list(reversed(w))  # the word, next letter last
-    normal = 0  # letters at the bottom of pending known to hold no redex
-    for n in range(1, nmax + 1):
-        pending.append("t")
-        letters = _reduce_word(pending, p, DEFAULT_BUDGET, normal)[0]
-        if letters is None:
-            return DecisionOutcome.found(n)
-        pending += reversed(letters)
-        normal = len(pending)
-    return DecisionOutcome.unknown(nmax)
+    n = _first_zero_power(w, "t", p, nmax, 0)
+    return DecisionOutcome.found(n) if n else DecisionOutcome.unknown(nmax)
 
 
 def nilpotent_bounded(
@@ -223,14 +207,14 @@ def cancellation_probe(
 
     The derived words are built from Y = NF(X), which the nonzero test has
     just computed.  Y is normal, so a redex of Y t^n ends in the t letters:
-    Y t^n is reduced only when some lhs ends in t, and is normal otherwise.
-    s^n X is reduced as s times the normal form of s^(n-1) X, one s on a
-    normal tail, so the reduction may stop reading once it is inside that
-    tail.  For a Gröbner basis (the zero-divisor construction, criterion 1)
-    every word has one normal form, so the violations are those of the raw
-    words X t^n and s^n X.  For other rule sets each violation is still a
-    reduction of the raw word to zero, through NF(X), but which samples are
-    reported can depend on that reading.
+    Y t^n is normalized only when some lhs ends in t, and is normal
+    otherwise.  s^n Y is reduced one s at a time on a normal tail (see
+    ``_first_zero_power``).  For a Gröbner basis (the zero-divisor
+    construction, criterion 1) every word has one normal form, so the
+    violations are those of the raw words X t^n and s^n X.  For other rule
+    sets each violation is still a reduction of the raw word to zero,
+    through NF(X), but which samples are reported can depend on that
+    reading.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -257,20 +241,11 @@ def cancellation_probe(
             continue
         produced += 1
         (y,) = nf.terms
-        # NF(s^n y) reversed, built one s at a time on a normal tail; None once zero
-        z: Optional[list[str]] = list(reversed(y))
+        k = _first_zero_power(y, "s", p, 3, len(y))  # the first zero s^k Y, 0 if none
         for n in (1, 2, 3):
-            if right_t and _reduce_word(["t"] * n + list(reversed(y)), p, DEFAULT_BUDGET)[0] is None:
+            if right_t and normalize(Polynomial.from_word(y + ("t",) * n), p)[0].is_zero():
                 violations.append((x, "right-t", n))
-            if z is not None:
-                normal = len(z)
-                z.append("s")
-                letters = _reduce_word(z, p, DEFAULT_BUDGET, normal)[0]
-                if letters is None:
-                    z = None
-                else:
-                    z += reversed(letters)
-            if z is None:
+            if 0 < k <= n:
                 violations.append((x, "left-s", n))
         if produced == samples:
             return violations

@@ -46,22 +46,20 @@ bounds the depth) with no redex pending, no pattern can end in the rest of
 the tail (Aho & Corasick, CACM 1975), and the loop leaves it unread in the
 list and returns the normal prefix it read.  No step is skipped, so normal
 forms, step counts and ``BudgetExhausted`` stay as a full read gives them,
-for any rule set.  ``annihilate_bounded`` keeps one list across all its
-powers: after each power it pushes the prefix back and appends the next t,
-so a power costs the letters it reads, and the t^n that earlier powers left
-at the end of the word is never read or copied.  On Antihydra from the
-blank tape, 10^4 powers take about 0.12 s and 3*10^4 about 0.43 s, 9x and
-21x faster than copying the word each power did; a power costs time linear
-in the tape that its t crosses (138 cells at 10^4 steps, 435 at 10^5), not
-in the number of powers (``BENCH_longrun.json``).  ``cancellation_probe``
-checks the alphabet once and calls the loop directly on the words it
-derives from the normal form Y of its sample: Y t^n, reduced only when
-some lhs ends in t (a redex of Y t^n ends in an appended t), and s^n Y,
-one list per sample that takes one s at a time on a normal tail.  In a
-traced benchmark run, the rewriting they do shows as their own time.
-``lockstep`` and ``nilpotent_bounded`` still go through ``normalize`` and
-``concat``, and every ``normalize`` call through the entry scan, because
-the benchmark's traced mode requires calls on those spans.
+for any rule set.  ``_first_zero_power`` is the one owner of such a list:
+it keeps x^n w in it across all powers n, pushes the prefix back after
+each power and appends the next x, so a power costs the letters it reads,
+and the x^n that earlier powers left at the end of the word is never read
+or copied.  ``annihilate_bounded`` is one call of it with x = t, and
+``cancellation_probe``'s s^n Y, n = 1..3, one call per sample with x = s
+on the normal form Y of the sample.  On Antihydra from the blank tape, 10^4
+powers of t take about 0.12 s and 3*10^4 about 0.43 s; a power costs time
+linear in the tape that its t crosses (138 cells at 10^4 steps, 435 at
+10^5), not in the number of powers (``BENCH_longrun.json``).  In a traced
+benchmark run, the rewriting they do shows as their own time.  ``lockstep``
+and ``nilpotent_bounded`` go through ``normalize`` and ``concat``, and
+every ``normalize`` call through the entry scan, because the benchmark's
+traced mode requires calls on those spans.
 
 Right-hand sides.  After a rewrite the loop goes on from the state q its
 stack holds at the redex, and the rhs letters it reads from q until a
@@ -366,12 +364,14 @@ def _sweep_table(rules: tuple[Rule, ...], matcher: Matcher) -> dict[int, frozens
     return table
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Presentation:
     """A finitely presented algebra: oriented rules, and the reduction order over its alphabet.
 
     The order names the construction: ``construction`` is the order's kind
-    (``nilpotency`` or ``zerodivisor``), or ``custom`` under deglex."""
+    (``nilpotency`` or ``zerodivisor``), or ``custom`` under deglex.  Both
+    fields are frozen, so the automaton and tables built from them on first
+    use stay theirs."""
 
     rules: tuple[Rule, ...]
     order: ReductionOrder
@@ -544,6 +544,31 @@ def _reduce_word(pending: list[str], p: Presentation, budget: int,
         letters[pos:] = prefix
         states[pos + 1:] = entered
         s = states[-1]
+
+
+def _first_zero_power(w: Word, x: str, p: Presentation, nmax: int, normal: int) -> int:
+    """The smallest n <= nmax with x^n w reducing to zero, or 0 if none.
+
+    The caller has checked the letters of w and x against the alphabet, and
+    vouches that the last ``normal`` letters of w hold no redex.  The word is
+    kept reversed in one list across all powers: the letters a reduction
+    read go back on it, then the next x, so the reduction of x v, with v the
+    previous normal form, may stop reading once it is inside v.  The first
+    power reads x w as it is, up to its normal tail.  For a Gröbner basis
+    (both constructions, criterion 1) every word has one normal form,
+    NF(x v) = NF(x NF(v)), so the answer is that of the raw powers x^n w.
+    For other rule sets an answer n is still a reduction of x^n w to zero,
+    but the smallest such n can depend on where the normal forms are taken.
+    """
+    pending = list(reversed(w))  # the word, next letter last
+    for n in range(1, nmax + 1):
+        pending.append(x)
+        letters = _reduce_word(pending, p, DEFAULT_BUDGET, normal)[0]
+        if letters is None:
+            return n
+        pending += reversed(letters)
+        normal = len(pending)
+    return 0
 
 
 def normalize(

@@ -45,7 +45,8 @@ for line in "still running after 3 steps" "left: 1 2 1 0" "cell: 0"; do
   echo "$out" | grep -qx "$line"
 done
 # Antihydra (tests/machines/antihydra.tm) from the blank tape: no power of t
-# up to 20000 annihilates it, exit code 1; both files are removed again
+# up to 20000 annihilates it under either construction, exit code 1; both
+# files are removed again
 printf '%s\n' 'states 6' 'colors 2' 'rule 0 0 -> R 1 1' 'rule 0 1 -> R 0 1' 'rule 1 0 -> L 2 0' \
   'rule 1 1 -> L 4 1' 'rule 2 0 -> L 3 1' 'rule 2 1 -> L 2 1' 'rule 3 0 -> L 0 1' 'rule 3 1 -> L 1 0' \
   'rule 4 0 -> L 5 1' 'rule 4 1 -> R 4 1' 'rule 5 0 -> STOP' 'rule 5 1 -> R 0 0' > antihydra.tm
@@ -53,9 +54,14 @@ printf 'left:\nstate: 0\ncell: 0\nright:\n' > blank.txt
 code=0
 out=$(ncrewrite annihilate --tm antihydra.tm --config blank.txt --nmax 20000) || code=$?
 echo "$out"
+zcode=0
+zout=$(ncrewrite zerodivisor --tm antihydra.tm --config blank.txt --nmax 20000) || zcode=$?
+echo "$zout"
 rm antihydra.tm blank.txt
 test "$code" = 1
 test "$out" = "left annihilation by t^N: unknown up to 20000"
+test "$zcode" = 1
+test "$zout" = "zero divisor: unknown up to 20000"
 # the cancellation probe of the installed package: exit 0, no violation
 code=0
 out=$(ncrewrite cancellation-probe --samples 200 --max-len 12 --seed 3) || code=$?

@@ -19,14 +19,19 @@ from ncrewrite import (
     ZERO_DIVISOR,
     DecisionOutcome,
     Move,
+    Polynomial,
     TMConfig,
     TMSpec,
     annihilate_bounded,
+    encode_config,
+    lockstep,
+    make_presentation,
+    normalize,
     parse_tm_spec,
     tm_run,
 )
 from ncrewrite.turing import STOP
-from oracles import annihilate_reference
+from oracles import EDGE, annihilate_reference
 
 BLANK = TMConfig((), 0, 0, ())
 # the steps after which the head is at the left end of the tape in state 0
@@ -132,3 +137,25 @@ def test_annihilation_equals_reference(antihydra, construction):
         outcome = annihilate_bounded(antihydra, c, nmax, construction)
         assert outcome == annihilate_reference(antihydra, c, nmax, construction)
         assert outcome == (DecisionOutcome.found(12) if nmax >= 12 else DecisionOutcome.unknown(nmax))
+
+
+@pytest.mark.parametrize("construction", [NILPOTENCY, ZERO_DIVISOR])
+def test_lockstep_from_blank(antihydra, construction):
+    report = lockstep(antihydra, BLANK, 2000, construction)
+    assert report.ok and not report.halted and len(report.records) == 2000
+
+
+def test_constructions_agree_power_by_power(antihydra):
+    # without tm_run: NF(t^n encode_N(blank)) = u t^n and NF(t^n encode_Z(blank)) = v s^n,
+    # where u and v differ only in the left edge letter
+    p = {construction: make_presentation(antihydra, construction) for construction in (NILPOTENCY, ZERO_DIVISOR)}
+    step = {NILPOTENCY: "t", ZERO_DIVISOR: "s"}
+    for n in (*range(1, 65), 2000):
+        cores = []
+        for construction in (NILPOTENCY, ZERO_DIVISOR):
+            w = ("t",) * n + encode_config(BLANK, construction)
+            (nf,) = normalize(Polynomial.from_word(w), p[construction])[0].terms
+            assert nf[len(nf) - n:] == (step[construction],) * n, (construction, n)
+            assert nf[0] == EDGE[construction], (construction, n)
+            cores.append(nf[1:len(nf) - n])
+        assert cores[0] == cores[1], n

@@ -24,7 +24,7 @@ from ncrewrite import (
     zerodivisor_presentation,
     zerodivisor_witness_bounded,
 )
-from ncrewrite import harness
+from ncrewrite import harness, rewrite
 from ncrewrite.orders import DEGLEX, ReductionOrder
 from ncrewrite.rewrite import concat
 from ncrewrite.turing import STOP
@@ -190,13 +190,13 @@ class TestDeciders:
     def test_annihilate_reduces_once_per_power(self, minsky, construction, monkeypatch):
         # t * encode(c0) is the first power's word: c0 is not reduced on its own
         calls = []
-        reduce_word = harness._reduce_word
+        reduce_word = rewrite._reduce_word
 
         def counting(pending, p, *args):
             calls.append(tuple(reversed(pending)))  # the word this call reads
             return reduce_word(pending, p, *args)
 
-        monkeypatch.setattr(harness, "_reduce_word", counting)
+        monkeypatch.setattr(rewrite, "_reduce_word", counting)
         c = TMConfig((), 2, 0, ())
         assert not tm_run(minsky, c, 3).halted
         assert annihilate_bounded(minsky, c, 3, construction) == DecisionOutcome.unknown(3)

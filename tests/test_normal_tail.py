@@ -7,15 +7,28 @@ reversed) and the step count, or the ``BudgetExhausted`` partial word,
 steps and remaining redexes.
 """
 
+import functools
 import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncrewrite import NILPOTENCY, ZERO_DIVISOR, BudgetExhausted, Polynomial, Presentation, Rule, normalize
+from ncrewrite import (
+    NILPOTENCY,
+    ZERO_DIVISOR,
+    BudgetExhausted,
+    Polynomial,
+    Presentation,
+    Rule,
+    TMConfig,
+    encode_config,
+    make_presentation,
+    minsky_utm,
+    normalize,
+)
 from ncrewrite.orders import DEGLEX, ReductionOrder
-from ncrewrite.rewrite import _reduce_word
-from oracles import config_word
+from ncrewrite.rewrite import _first_zero_power, _reduce_word
+from oracles import config_word, tiny_halting_machine
 
 
 def full_read(w, p, budget):
@@ -89,3 +102,44 @@ def test_synthetic_presentations(data):
     y = normal_word(data.draw(word), p)
     assume(y is not None)
     assert_tail_agrees(data.draw(word), y, p, data.draw(st.integers(0, 40)))
+
+
+@functools.cache
+def power_cases():
+    """(machine name, construction, presentation) for both constructions of
+    Minsky's machine and of the tiny halting machine."""
+    machines = (("minsky", minsky_utm()), ("tiny", tiny_halting_machine()))
+    return tuple((name, construction, make_presentation(spec, construction))
+                 for name, spec in machines for construction in (NILPOTENCY, ZERO_DIVISOR))
+
+
+def power_reference(w, x, p, nmax):
+    """The smallest n <= nmax with x^n w normalizing to zero, read whole; 0 if none."""
+    for n in range(1, nmax + 1):
+        if normalize(Polynomial.from_word((x,) * n + w), p)[0].is_zero():
+            return n
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_zero_power(data):
+    name, construction, p = data.draw(st.sampled_from(power_cases()))
+    x = data.draw(st.sampled_from([x for x in ("t", "s") if x in p.letters]))
+    nmax = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    kind = data.draw(st.sampled_from(("configuration", "letters")))
+    if kind == "letters":
+        w = tuple(rng.choice(p.alphabet) for _ in range(rng.randint(0, 10)))
+    elif name == "minsky":
+        w = config_word(rng, construction, cells=rng.choice((2, 6)))
+    else:
+        c = TMConfig(tuple(rng.randrange(2) for _ in range(rng.randint(0, 3))), rng.randrange(2),
+                     rng.randrange(2), tuple(rng.randrange(2) for _ in range(rng.randint(0, 3))))
+        w = ("t",) * rng.randint(0, 2) + encode_config(c, construction)
+    assert _first_zero_power(w, x, p, nmax, 0) == power_reference(w, x, p, nmax), (w, x, nmax)
+    # on a normal word, vouching for all of it changes nothing
+    y = normal_word(w, p)
+    if y is not None:
+        expected = power_reference(y, x, p, nmax)
+        assert _first_zero_power(y, x, p, nmax, len(y)) == _first_zero_power(y, x, p, nmax, 0) == expected

@@ -659,3 +659,18 @@ class TestPresentationConstruction:
         p = Presentation(self.RULES, nilpotency_order())
         with pytest.raises(AttributeError):
             p.construction = "custom"
+
+
+class TestPresentationFrozen:
+    """A presentation's automaton and tables are built from its rules and
+    order once, so neither field can be reassigned after it is built."""
+
+    def test_fields_not_assignable(self, p_nilp):
+        p = Presentation(p_nilp.rules, p_nilp.order)
+        assert p.matcher is p.matcher and p.sweeps is p.sweeps  # built once, kept
+        for field, value in (("rules", p.rules[:3]), ("order", ReductionOrder(DEGLEX, ("t",)))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field, value)
+        assert (p.rules, p.order) == (p_nilp.rules, p_nilp.order)
+        w = parse_word("t R Q2 P0 R")
+        assert normalize(Polynomial.from_word(w), p) == normalize(Polynomial.from_word(w), p_nilp)
