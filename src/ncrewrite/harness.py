@@ -169,20 +169,22 @@ def zerodivisor_witness_bounded(
 
 
 def _random_structured_word(rng: random.Random, states: int, colors: int, max_len: int) -> Word:
+    randrange, randint = rng.randrange, rng.randint
     room = max(0, (max_len - 4) // 2)
-    u = tuple(rng.randrange(colors) for _ in range(rng.randint(0, room)))
-    v = tuple(rng.randrange(colors) for _ in range(rng.randint(0, room)))
-    c = TMConfig(u, rng.randrange(states), rng.randrange(colors), v)
+    u = tuple([randrange(colors) for _ in range(randint(0, room))])
+    v = tuple([randrange(colors) for _ in range(randint(0, room))])
+    c = TMConfig(u, randrange(states), randrange(colors), v)
     w = list(encode_config(c, ZERO_DIVISOR))
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(randint(0, 3)):
         if len(w) >= max_len:
             break
-        w.insert(rng.randint(0, len(w)), rng.choice(("t", "s")))
+        w.insert(randint(0, len(w)), rng.choice(("t", "s")))
     return tuple(w[:max_len])
 
 
 def _random_word(rng: random.Random, alphabet: tuple[str, ...], max_len: int) -> Word:
-    return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+    choice = rng.choice
+    return tuple([choice(alphabet) for _ in range(rng.randint(1, max_len))])
 
 
 _DRAWS_PER_SAMPLE = 100  # draws allowed per sample wanted, before giving up
@@ -209,7 +211,11 @@ def cancellation_probe(
     just computed.  Y is normal, so a redex of Y t^n ends in the t letters:
     Y t^n is normalized only when some lhs ends in t, and is normal
     otherwise.  s^n Y is reduced one s at a time on a normal tail (see
-    ``_first_zero_power``).  For a Gröbner basis (the zero-divisor
+    ``_first_zero_power``), and the chain stops at the first s that
+    rewrites nothing when s is a fixed point of the automaton (no lhs
+    begins with s s): s^n Y is then normal for every larger n too.  On
+    Minsky's rules that holds, and a Y that begins with L takes one
+    reduction, not three.  For a Gröbner basis (the zero-divisor
     construction, criterion 1) every word has one normal form, so the
     violations are those of the raw words X t^n and s^n X.  For other rule
     sets each violation is still a reduction of the raw word to zero,

@@ -27,14 +27,14 @@ their rules is about to fire at state 0, the normalizer carries c across
 the whole run of S letters ahead in one operation and counts one step per
 crossing, so normal forms, step counts and ``BudgetExhausted`` are those of
 the elementary loop.  Per machine step, ``normalize(t * encode(c))`` on
-Minsky's machine at 100 / 800 / 6400 letters costs about 30 / 105 / 810 µs
-(nilpotency) and 35 / 114 / 1070 µs (zero-divisor), against 2-3 / 4-5 /
-19-24 µs for ``tm_step`` (best of 30, 2-vCPU shared host, Python 3.11.7).
-At 800 letters about half of that is the entry ``Matcher.redexes`` scan
-(38-52 µs), which walks the trie only from the letters that begin an lhs
-and reports the hits in the order it finds them (position, then lhs
-length, then rule id), and half the reduction loop (43-57 µs); each reads
-every letter once.
+Minsky's machine costs 11-15 times ``tm_step`` at 100 letters, 28-34 times
+at 800 and 41-53 times at 6400, under either construction (six runs, best
+of 30 calls each, 2-vCPU shared host, Python 3.11.7; the absolute times in
+``BENCH_powerstop.json`` moved up to 2x from run to run).  At 800 letters
+about a third of that is the entry ``Matcher.redexes`` scan, which walks
+the trie only from the letters that begin an lhs and reports the hits in
+the order it finds them (position, then lhs length, then rule id), and
+about half the reduction loop; each reads every letter once.
 
 Normal tails.  The bounded deciders multiply a word the engine has just
 normalized by one letter, so ``_reduce_word``, the reduction loop behind
@@ -52,7 +52,14 @@ each power and appends the next x, so a power costs the letters it reads,
 and the x^n that earlier powers left at the end of the word is never read
 or copied.  ``annihilate_bounded`` is one call of it with x = t, and
 ``cancellation_probe``'s s^n Y, n = 1..3, one call per sample with x = s
-on the normal form Y of the sample.  On Antihydra from the blank tape, 10^4
+on the normal form Y of the sample.  The chain also stops at the first
+power that rewrites nothing when x is a fixed point of the automaton (x
+read from the root enters a state that x leads back to): x v was normal,
+and x x v enters the same states over v, so no later power can reach zero.
+That answer is exact for every rule set, like the tail stop.
+On Minsky's zero-divisor rules s is such a letter, and a sample Y that
+begins with L takes one reduction instead of three; t never stops early,
+as every t encode(c) rewrites.  On Antihydra from the blank tape, 10^4
 powers of t take about 0.12 s and 3*10^4 about 0.43 s; a power costs time
 linear in the tape that its t crosses (138 cells at 10^4 steps, 435 at
 10^5), not in the number of powers (``BENCH_longrun.json``).  In a traced
@@ -73,22 +80,23 @@ and they lie above the normal tail, so the tail stop cannot fire among
 them: normal forms, step counts and ``BudgetExhausted`` do not change.
 
 Compile cost.  Compiling Minsky's machine, the 1560 nilpotency and 441
-zero-divisor rules with both automata and sweep tables, costs about 5.9 ms
-(best of 100, 2-vCPU shared host, Python 3.11.7).  A ``Rule`` is a named
-tuple whose ``__new__`` checks the lhs, about 0.4 µs to build; reading one
+zero-divisor rules with both automata and sweep tables, costs 3.3-7.2 ms
+over the same six runs, which also timed the automaton, the letter check
+and the sweep table below.  A ``Rule`` is a named tuple whose ``__new__``
+checks the lhs, about 0.4 µs to build; reading one
 of its fields costs about 20 ns more than reading a dataclass attribute, so
 the reduction loop reads ``rhs`` once per step.  ``Matcher`` keeps no
 per-state lists while it inserts the patterns, and folds the failure links
 over one breadth-first list of states that grows as the loop reads it:
-1.6 ms on the nilpotency rules (1953 states).  A ``Presentation`` checks
-every rule letter against its alphabet when it is built, one
-``issuperset`` pass per side of the rules, about 0.5 ms of the 2.5 ms that
-``nilpotency_presentation`` takes.  The automaton is built on first use,
-once per presentation, and the sweep table from it by the first reduction
-that reads it, so a caller that only scans, as ``find_ambiguities`` does,
-never builds the table (about 0.1 ms on the nilpotency rules and 0.05 ms
-on the zero-divisor rules, best of 30); nothing is cached across
-presentations.
+0.9-1.9 ms on the nilpotency rules (1953 states).  A ``Presentation``
+checks every rule letter against its alphabet when it is built, one
+``issuperset`` pass per side of the rules, 0.24-0.5 ms of the 1.4-2.9 ms
+that ``nilpotency_presentation`` takes.  The automaton is built on first
+use, once per presentation, and the sweep table from it by the first
+reduction that reads it, so a caller that only scans, as
+``find_ambiguities`` does, never builds the table (0.09-0.15 ms on the
+nilpotency rules and 0.04-0.07 ms on the zero-divisor rules); nothing is
+cached across presentations.
 """
 
 from __future__ import annotations
@@ -559,13 +567,26 @@ def _first_zero_power(w: Word, x: str, p: Presentation, nmax: int, normal: int) 
     NF(x v) = NF(x NF(v)), so the answer is that of the raw powers x^n w.
     For other rule sets an answer n is still a reduction of x^n w to zero,
     but the smallest such n can depend on where the normal forms are taken.
+
+    The chain stops at the first power that rewrites nothing when x is a
+    fixed point of the automaton: x read from the root enters a state q,
+    and x leads from q back to q (so no lhs begins with x x).  That power's
+    word x v is normal, so no pattern ends while it is read, and x x v
+    enters q, q and then the same states over v: it is normal too, and by
+    induction no later power reaches zero.  The answer is exact for every
+    rule set and every ``normal``.
     """
+    goto = p.matcher._goto
+    q = goto[0].get(x, 0)
+    fixed = goto[q].get(x, 0) == q
     pending = list(reversed(w))  # the word, next letter last
     for n in range(1, nmax + 1):
         pending.append(x)
-        letters = _reduce_word(pending, p, DEFAULT_BUDGET, normal)[0]
+        letters, steps = _reduce_word(pending, p, DEFAULT_BUDGET, normal)
         if letters is None:
             return n
+        if fixed and not steps:
+            return 0
         pending += reversed(letters)
         normal = len(pending)
     return 0

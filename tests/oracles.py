@@ -18,14 +18,18 @@ deque of (state, failure state) pairs.  ``annihilate_reference`` and
 they ran on the word normalizer: each power or derived word goes through the
 public ``normalize``.  ``nilpotent_reference`` is ``nilpotent_bounded`` as it
 was before it multiplied on the left: power n is the normal form of
-power n-1 times t * encode(c).
+power n-1 times t * encode(c).  ``first_zero_power_reference`` is
+``_first_zero_power`` without its stops: every power up to the bound goes
+through ``normalize``.  ``random_structured_word_reference`` and
+``random_word_reference`` are frozen copies of the probe's samplers, which
+pin the words the probe draws and the state it leaves its generator in.
 """
 
 import random
 from collections import deque
 
 from ncrewrite import NILPOTENCY, ZERO_DIVISOR, DecisionOutcome, Move, Polynomial, TMConfig, TMSpec, encode_config
-from ncrewrite.harness import _presentation, _random_structured_word, _random_word
+from ncrewrite.harness import _presentation
 from ncrewrite.rewrite import concat, normalize
 from ncrewrite.turing import STOP, minsky_utm
 from ncrewrite.words import AlphabetError, letter_kind, psi_alphabet
@@ -262,6 +266,36 @@ def nilpotent_reference(spec, c0, nmax, presentation=None):
     return DecisionOutcome.unknown(nmax)
 
 
+def first_zero_power_reference(w, x, p, nmax):
+    """The smallest n <= nmax with NF(x NF(x ... NF(x w))) zero, n letters x,
+    one ``normalize`` per power and no early stop; 0 if none."""
+    x, v = Polynomial.from_word((x,)), Polynomial.from_word(w)
+    for n in range(1, nmax + 1):
+        v, _ = normalize(concat(x, v), p)
+        if v.is_zero():
+            return n
+    return 0
+
+
+def random_structured_word_reference(rng, states, colors, max_len):
+    """``harness._random_structured_word`` as it was first written."""
+    room = max(0, (max_len - 4) // 2)
+    u = tuple(rng.randrange(colors) for _ in range(rng.randint(0, room)))
+    v = tuple(rng.randrange(colors) for _ in range(rng.randint(0, room)))
+    c = TMConfig(u, rng.randrange(states), rng.randrange(colors), v)
+    w = list(encode_config(c, ZERO_DIVISOR))
+    for _ in range(rng.randint(0, 3)):
+        if len(w) >= max_len:
+            break
+        w.insert(rng.randint(0, len(w)), rng.choice(("t", "s")))
+    return tuple(w[:max_len])
+
+
+def random_word_reference(rng, alphabet, max_len):
+    """``harness._random_word`` as it was first written."""
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+
+
 def cancellation_probe_reference(samples, max_len, seed=0, presentation=None):
     """``cancellation_probe``, one ``normalize`` per derived word; it never
     returns when too few sampled words have a nonzero normal form."""
@@ -274,9 +308,9 @@ def cancellation_probe_reference(samples, max_len, seed=0, presentation=None):
     produced = 0
     while produced < samples:
         if structured and rng.random() < 0.5:
-            x = _random_structured_word(rng, states, colors, max_len)
+            x = random_structured_word_reference(rng, states, colors, max_len)
         else:
-            x = _random_word(rng, p.alphabet, max_len)
+            x = random_word_reference(rng, p.alphabet, max_len)
         nf, _ = normalize(Polynomial.from_word(x), p)
         if nf.is_zero():
             continue

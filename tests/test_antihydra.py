@@ -36,7 +36,7 @@ from oracles import EDGE, annihilate_reference
 BLANK = TMConfig((), 0, 0, ())
 # the steps after which the head is at the left end of the tape in state 0
 # (observed; test_no_other_head_configurations checks the first seven)
-HEAD_STEPS = (5, 41, 144, 383, 2058, 4739, 10784, 54697, 277322)
+HEAD_STEPS = (5, 41, 144, 383, 2058, 4739, 10784, 54697, 277322, 7111045)
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +86,8 @@ def head_tapes(spec, steps):
 def test_the_table_follows_the_map(antihydra):
     tapes = head_tapes(antihydra, HEAD_STEPS)
     assert tapes[0] == "111"  # the start-up configuration
-    assert list(map(term, tapes[1:])) == expected_terms(8)
-    assert expected_terms(8)[-1] == (681, 13)
+    assert list(map(term, tapes[1:])) == expected_terms(9)
+    assert expected_terms(9)[-2:] == [(681, 13), (3444, 12)]
 
 
 def test_no_other_head_configurations(antihydra):

@@ -35,6 +35,8 @@ from oracles import (
     deg_t,
     htilde,
     nilpotent_reference,
+    random_structured_word_reference,
+    random_word_reference,
 )
 
 
@@ -347,6 +349,24 @@ class TestCancellationProbe:
             assert not normalize(Polynomial.from_word(x), q)[0].is_zero()
             w = x + ("t",) * n if kind == "right-t" else ("s",) * n + x
             assert normalize(Polynomial.from_word(w), q)[0].is_zero()
+
+
+class TestSamplers:
+    def test_draws_pinned(self, p_zd):
+        # the probe's samplers draw the words of their first-written copies
+        # and leave the generator in the same state
+        lengths = (1, 3, 4, 6, 12, 15)
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for i in range(300):
+                max_len = lengths[i // 2 % len(lengths)]
+                if i % 2:
+                    drawn = harness._random_structured_word(rng, 7, 4, max_len)
+                    expected = random_structured_word_reference(ref, 7, 4, max_len)
+                else:
+                    drawn = harness._random_word(rng, p_zd.alphabet, max_len)
+                    expected = random_word_reference(ref, p_zd.alphabet, max_len)
+                assert drawn == expected and rng.getstate() == ref.getstate(), (seed, i)
 
 
 def _through_normal_form(x, kind, n, p):

@@ -4,12 +4,15 @@
 reversed in a list and y normal, must give exactly what reading the whole
 word gives: the normal form (the prefix read, then the rest of ``pending``
 reversed) and the step count, or the ``BudgetExhausted`` partial word,
-steps and remaining redexes.
+steps and remaining redexes.  ``_first_zero_power``, which stops a chain of
+powers at the first power that rewrites nothing when its letter is a fixed
+point of the automaton, must give what every power read to the bound gives.
 """
 
 import functools
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +29,10 @@ from ncrewrite import (
     minsky_utm,
     normalize,
 )
+from ncrewrite import rewrite
 from ncrewrite.orders import DEGLEX, ReductionOrder
 from ncrewrite.rewrite import _first_zero_power, _reduce_word
-from oracles import config_word, tiny_halting_machine
+from oracles import config_word, first_zero_power_reference, tiny_halting_machine
 
 
 def full_read(w, p, budget):
@@ -143,3 +147,51 @@ def test_first_zero_power(data):
     if y is not None:
         expected = power_reference(y, x, p, nmax)
         assert _first_zero_power(y, x, p, nmax, len(y)) == _first_zero_power(y, x, p, nmax, 0) == expected
+
+
+POWER_LETTERS = ("a0", "a1", "t", "s")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_zero_power_stop_is_exact(data):
+    # any small rule set, confluent or not, where the chain letter x may or
+    # may not be a fixed point of the automaton: the answer is that of every
+    # power read to the bound
+    x = data.draw(st.sampled_from(("t", "s")))
+    letters = st.lists(st.sampled_from(POWER_LETTERS), min_size=1, max_size=3).map(tuple)
+    x_x = st.lists(st.sampled_from(POWER_LETTERS), max_size=1).map(lambda u: (x, x, *u))
+    rules = []
+    for lhs in data.draw(st.lists(st.one_of(letters, x_x), min_size=1, max_size=6)):
+        # rhs shorter than lhs, or zero, so every reduction ends
+        rhs = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(POWER_LETTERS),
+                                                        max_size=len(lhs) - 1).map(tuple)))
+        rules.append(Rule(lhs, rhs))
+    p = Presentation(tuple(rules), ReductionOrder(DEGLEX, POWER_LETTERS))
+    nmax = data.draw(st.integers(1, 5))
+    w = tuple(data.draw(st.lists(st.sampled_from(POWER_LETTERS), max_size=6)))
+    assert _first_zero_power(w, x, p, nmax, 0) == first_zero_power_reference(w, x, p, nmax), (w, x, nmax)
+    y = normal_word(w, p)
+    if y is not None:
+        assert _first_zero_power(y, x, p, nmax, len(y)) == first_zero_power_reference(y, x, p, nmax), (y, x)
+
+
+@pytest.mark.parametrize("extra, y, answer, calls", [
+    # on Minsky's zero-divisor rules s is a fixed point of the automaton
+    (None, ("L", "Q2", "P0", "R"), 0, 1),  # s L Q2 P0 R is normal, so s^n L Q2 P0 R is for every n
+    (None, ("a1", "Q2", "P0", "R"), 0, 3),  # each s crosses the cell: every power rewrites
+    # with s s L -> 0 it is not: s L Q2 P0 R is normal, but the second power is zero
+    (("s", "s", "L"), ("L", "Q2", "P0", "R"), 2, 2),
+])
+def test_first_zero_power_reduction_count(extra, y, answer, calls, p_zd, monkeypatch):
+    p = p_zd if extra is None else Presentation(p_zd.rules + (Rule(extra, None),), p_zd.order)
+    counted = []
+    reduce_word = rewrite._reduce_word
+
+    def counting(pending, p, *args):
+        counted.append(tuple(reversed(pending)))  # the word this call reads
+        return reduce_word(pending, p, *args)
+
+    monkeypatch.setattr(rewrite, "_reduce_word", counting)
+    assert _first_zero_power(y, "s", p, 3, len(y)) == answer
+    assert len(counted) == calls and counted[0] == ("s",) + y
