@@ -126,9 +126,10 @@ def cmd_lockstep(args) -> int:
     return 1
 
 
-def _print_outcome(kind: str, outcome) -> int:
+def _print_outcome(kind: str, outcome, witness: str = "witnessed at {}") -> int:
+    """Print a decider's verdict; ``witness`` words a found value ({} is where it goes)."""
     if outcome.witnessed:
-        print(f"{kind}: witnessed at {outcome.value}")
+        print(f"{kind}: {witness.format(outcome.value)}")
         return 0
     print(f"{kind}: unknown up to {outcome.value}")
     return 1
@@ -148,12 +149,8 @@ def cmd_annihilate(args) -> int:
 def cmd_zerodivisor(args) -> int:
     spec, c0 = _machine(args)
     outcome = zerodivisor_witness_bounded(spec, c0, args.nmax)
-    word = encode_config(c0, ZERO_DIVISOR)
-    if outcome.witnessed:
-        print(f"zero divisor: t^{outcome.value} annihilates {word_to_str(word)} from the left")
-        return 0
-    print(f"zero divisor: unknown up to {outcome.value}")
-    return 1
+    word = word_to_str(encode_config(c0, ZERO_DIVISOR))
+    return _print_outcome("zero divisor", outcome, "t^{} annihilates " + word + " from the left")
 
 
 def cmd_cancellation_probe(args) -> int:

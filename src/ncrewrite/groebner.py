@@ -42,13 +42,13 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
     Overlaps come first, by rule1, offset, then rule2: each proper suffix of
     lhs(rule1) is looked up among the proper prefixes of the lhs words.  A
     suffix whose first letter begins no lhs is skipped before it is sliced,
-    and the prefix index is built only if some suffix passes that check, and
-    only over the lhs words that begin with the first letter of such a
-    suffix.  Inclusions follow, by rule1, position, length of lhs(rule2),
-    then rule2: the presentation's own matcher finds them in lhs(rule1),
-    unless its automaton shows that there are none (see
-    ``Matcher.inclusion_free``).  The rules are a Gröbner basis when
-    every ambiguity resolves (Bergman's diamond lemma).
+    and the prefix index holds only the lhs words that begin with the first
+    letter of a suffix that passes (none, if no suffix passes).  Inclusions
+    follow, by rule1, position, length of lhs(rule2), then rule2: the
+    presentation's own matcher finds them in lhs(rule1), unless its
+    automaton shows that there are none (see ``Matcher.inclusion_free``).
+    The rules are a Gröbner basis when every ambiguity resolves (Bergman's
+    diamond lemma).
     """
     lhss = [r.lhs for r in p.rules]
     starts = p.matcher.first_letters()
@@ -56,24 +56,23 @@ def find_ambiguities(p: Presentation) -> list[Ambiguity]:
 
     candidates = [(r1, k) for r1, lhs1 in enumerate(lhss) if not starts.isdisjoint(lhs1[1:])
                   for k in range(1, len(lhs1)) if lhs1[k] in starts]
-    if candidates:
-        firsts = {lhss[r1][k] for r1, k in candidates}
-        prefix_index: dict[Word, list[int]] = {}
-        for rid, lhs in enumerate(lhss):
-            if lhs[0] in firsts:
-                for k in range(1, len(lhs)):  # proper nonempty prefixes
-                    prefix_index.setdefault(lhs[:k], []).append(rid)
-        for r1, k in candidates:
-            lhs1 = lhss[r1]
-            suffix = lhs1[k:]
-            for r2 in prefix_index.get(suffix, ()):
-                out.append(Ambiguity(
-                    kind=OVERLAP,
-                    rule1=r1,
-                    rule2=r2,
-                    witness=lhs1 + lhss[r2][len(suffix):],
-                    offset2=k,
-                ))
+    firsts = {lhss[r1][k] for r1, k in candidates}
+    prefix_index: dict[Word, list[int]] = {}
+    for rid, lhs in enumerate(lhss):
+        if lhs[0] in firsts:
+            for k in range(1, len(lhs)):  # proper nonempty prefixes
+                prefix_index.setdefault(lhs[:k], []).append(rid)
+    for r1, k in candidates:
+        lhs1 = lhss[r1]
+        suffix = lhs1[k:]
+        for r2 in prefix_index.get(suffix, ()):
+            out.append(Ambiguity(
+                kind=OVERLAP,
+                rule1=r1,
+                rule2=r2,
+                witness=lhs1 + lhss[r2][len(suffix):],
+                offset2=k,
+            ))
 
     if p.matcher.inclusion_free():
         return out
@@ -135,8 +134,6 @@ def audit_order(order: ReductionOrder, alphabet: tuple[str, ...], max_len: int) 
 
     n = len(ranked)
     report.checks += len(alphabet) * n * (n - 1)
-    if n < 2:  # no pairs, so no extended word is keyed
-        return report
 
     def key_of(w: Word):
         k = keys.get(w)

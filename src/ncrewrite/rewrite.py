@@ -82,10 +82,12 @@ them: normal forms, step counts and ``BudgetExhausted`` do not change.
 Compile cost.  Compiling Minsky's machine, the 1560 nilpotency and 441
 zero-divisor rules with both automata and sweep tables, costs 3.3-7.2 ms
 over the same six runs, which also timed the automaton, the letter check
-and the sweep table below.  A ``Rule`` is a named tuple whose ``__new__``
-checks the lhs, about 0.4 µs to build; reading one
-of its fields costs about 20 ns more than reading a dataclass attribute, so
-the reduction loop reads ``rhs`` once per step.  ``Matcher`` keeps no
+and the sweep table below.  A ``Rule`` is a plain named tuple, 0.33-0.42 µs
+to build; the ``Presentation`` that holds it refuses an empty lhs in one pass
+over the rules, 43-51 µs on the 1560 nilpotency rules (three processes on the
+same host, ``BENCH_rulepath.json``).  Reading a field of a rule costs about
+20 ns more than reading a dataclass attribute, so the reduction loop reads
+``rhs`` once per step.  ``Matcher`` keeps no
 per-state lists while it inserts the patterns, and folds the failure links
 over one breadth-first list of states that grows as the loop reads it:
 0.9-1.9 ms on the nilpotency rules (1953 states).  A ``Presentation``
@@ -114,33 +116,19 @@ from .words import AlphabetError, Word, check_alphabet, word_to_str
 DEFAULT_BUDGET = 10**6
 
 
-class _RuleFields(NamedTuple):
+class Rule(NamedTuple):
+    """Rewrite rule: leading monomial lhs -> rhs word, or to zero (rhs None).
+
+    A plain immutable named tuple, so building one costs a tuple; a compiled
+    presentation builds a rule per schema instance.  The ``Presentation``
+    that holds a rule refuses an empty lhs, however the rule was built."""
+
     lhs: Word
     rhs: Optional[Word]
     tag: str = ""
 
 
-_new_tuple = tuple.__new__
 _lhs_of, _rhs_of = attrgetter("lhs"), attrgetter("rhs")
-
-
-class Rule(_RuleFields):
-    """Rewrite rule: leading monomial lhs -> rhs word, or to zero (rhs None).
-
-    An immutable named tuple, so building one costs a single check and a
-    tuple; a compiled presentation builds a rule per schema instance."""
-
-    __slots__ = ()
-
-    def __new__(cls, lhs: Word, rhs: Optional[Word], tag: str = ""):
-        if lhs:
-            return _new_tuple(cls, (lhs, rhs, tag))
-        raise ValueError("rule lhs must be nonempty")
-
-    @classmethod
-    def _make(cls, iterable) -> "Rule":
-        # the named tuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
 
 def _add_term(terms: dict[Word, int], w: Word, c: int) -> None:
@@ -379,14 +367,18 @@ class Presentation:
     The order names the construction: ``construction`` is the order's kind
     (``nilpotency`` or ``zerodivisor``), or ``custom`` under deglex.  Both
     fields are frozen, so the automaton and tables built from them on first
-    use stay theirs."""
+    use stay theirs.  A rule with an empty lhs is refused first, then any
+    rule letter outside the alphabet."""
 
     rules: tuple[Rule, ...]
     order: ReductionOrder
 
     def __post_init__(self):
-        # One pass over all rule letters; the walk only names the first bad one.
+        # An empty lhs first, then one pass over all rule letters; the walk
+        # only names the first bad letter.
         letters, rules = self.letters, self.rules
+        if not all(map(_lhs_of, rules)):
+            raise ValueError("rule lhs must be nonempty")
         if letters.issuperset(chain.from_iterable(map(_lhs_of, rules))) and letters.issuperset(
                 chain.from_iterable(filter(None, map(_rhs_of, rules)))):
             return

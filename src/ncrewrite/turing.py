@@ -30,20 +30,27 @@ class TMSpec:
     table: dict  # (state, color) -> Move or STOP
 
     def __post_init__(self):
+        _check_integer(self.states, "states")
+        _check_integer(self.colors, "colors")
         if self.states < 1 or self.colors < 1:
             raise ValueError(f"need at least one state and one color, got {self.states} and {self.colors}")
-        for i in range(self.states):
-            for j in range(self.colors):
-                if (i, j) not in self.table:
-                    raise ValueError(f"table missing entry for ({i}, {j})")
+        # keys and moves first, so a key that is not an integer is named, not reported missing
         for (i, j), entry in self.table.items():
+            _check_integer(i, "table key state")
+            _check_integer(j, "table key color")
             if not (0 <= i < self.states and 0 <= j < self.colors):
                 raise ValueError(f"table key ({i}, {j}) out of range")
             if entry is not STOP:
                 if entry.direction not in ("L", "R"):
                     raise ValueError(f"bad direction {entry.direction!r}")
+                _check_integer(entry.state, f"move state in entry ({i}, {j}):")
+                _check_integer(entry.color, f"move color in entry ({i}, {j}):")
                 if not (0 <= entry.state < self.states and 0 <= entry.color < self.colors):
                     raise ValueError(f"bad move target in entry ({i}, {j})")
+        for i in range(self.states):
+            for j in range(self.colors):
+                if (i, j) not in self.table:
+                    raise ValueError(f"table missing entry for ({i}, {j})")
 
 
 @dataclass(frozen=True)

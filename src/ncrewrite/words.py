@@ -22,6 +22,7 @@ Word = tuple[str, ...]
 EPS: Word = ()
 
 _LETTER_RE = re.compile(r"t|s|L|R|[aQP](?:0|[1-9][0-9]*)")
+_KINDS = {"t": "t", "s": "s", "L": "L", "R": "R", "a": "cell", "Q": "state", "P": "color"}  # by first character
 
 
 class AlphabetError(ValueError):
@@ -53,11 +54,9 @@ color_mark = _Letters("P").__getitem__
 
 def letter_kind(letter: str) -> str:
     """Classify a token: 't', 's', 'L', 'R', 'cell', 'state' or 'color'."""
-    if letter in ("t", "s", "L", "R"):
-        return letter
     if not _LETTER_RE.fullmatch(letter):
         raise AlphabetError(f"not a letter: {letter!r}")
-    return {"a": "cell", "Q": "state", "P": "color"}[letter[0]]
+    return _KINDS[letter[0]]
 
 
 def phi_alphabet(states: int = 7, colors: int = 4) -> tuple[str, ...]:
@@ -83,8 +82,7 @@ def parse_word(text: str) -> Word:
         return EPS
     word = tuple(map(sys.intern, text.split()))
     for letter in word:
-        if not _LETTER_RE.fullmatch(letter):
-            raise AlphabetError(f"not a letter: {letter!r}")
+        letter_kind(letter)
     return word
 
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Checks the installed `ncrewrite` console script: run it from an empty
 # working directory, with `ncrewrite` on PATH.
-#   bash tests/console_script.sh
+#   bash /path/to/ncrewrite/tests/console_script.sh
 set -euo pipefail
+# the machine files this script reads sit next to it
+machines="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)/machines"
 
 ncrewrite --help
 # both constructions compile to a Gröbner basis: no ambiguity in either rule file
@@ -20,6 +22,14 @@ test "$out" = "$(printf 'normal form: 1 * R Q4 P0 a1 R t\nsteps: 2')"
 code=0
 ncrewrite normalize --presentation zerodivisor.rules --word "a01" || code=$?
 test "$code" = 2
+# and so is a rule from the empty word; its file is removed again
+printf 'alphabet: t a0 R\norder: deglex\nrule: eps -> R\n' > empty-lhs.rules
+code=0
+err=$(ncrewrite overlaps --presentation empty-lhs.rules 2>&1) || code=$?
+rm empty-lhs.rules
+echo "$err"
+test "$code" = 2
+test "$err" = "error: rule lhs must be nonempty"
 # machine commands on the README configuration, which is removed again
 printf 'left: 3\nstate: 2\ncell: 3\nright:\n' > config.txt
 # it halts after one step: exactly at a budget of 1, still running at 0
@@ -44,20 +54,17 @@ rm walk.txt
 for line in "still running after 3 steps" "left: 1 2 1 0" "cell: 0"; do
   echo "$out" | grep -qx "$line"
 done
-# Antihydra (tests/machines/antihydra.tm) from the blank tape: no power of t
-# up to 20000 annihilates it under either construction, exit code 1; both
-# files are removed again
-printf '%s\n' 'states 6' 'colors 2' 'rule 0 0 -> R 1 1' 'rule 0 1 -> R 0 1' 'rule 1 0 -> L 2 0' \
-  'rule 1 1 -> L 4 1' 'rule 2 0 -> L 3 1' 'rule 2 1 -> L 2 1' 'rule 3 0 -> L 0 1' 'rule 3 1 -> L 1 0' \
-  'rule 4 0 -> L 5 1' 'rule 4 1 -> R 4 1' 'rule 5 0 -> STOP' 'rule 5 1 -> R 0 0' > antihydra.tm
+# Antihydra (tests/machines/antihydra.tm, the table its map test checks) from
+# the blank tape: no power of t up to 20000 annihilates it under either
+# construction, exit code 1; the configuration file is removed again
 printf 'left:\nstate: 0\ncell: 0\nright:\n' > blank.txt
 code=0
-out=$(ncrewrite annihilate --tm antihydra.tm --config blank.txt --nmax 20000) || code=$?
+out=$(ncrewrite annihilate --tm "$machines/antihydra.tm" --config blank.txt --nmax 20000) || code=$?
 echo "$out"
 zcode=0
-zout=$(ncrewrite zerodivisor --tm antihydra.tm --config blank.txt --nmax 20000) || zcode=$?
+zout=$(ncrewrite zerodivisor --tm "$machines/antihydra.tm" --config blank.txt --nmax 20000) || zcode=$?
 echo "$zout"
-rm antihydra.tm blank.txt
+rm blank.txt
 test "$code" = 1
 test "$out" = "left annihilation by t^N: unknown up to 20000"
 test "$zcode" = 1

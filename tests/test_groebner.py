@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncrewrite import (
+    AlphabetError,
     Presentation,
     Rule,
     audit_order,
@@ -215,6 +216,12 @@ class TestAuditOrder:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="max_len"):
             audit_order(nilpotency_order(), ("t", "a0", "R"), -1)
+
+    @pytest.mark.parametrize("max_len", [0, 1, 2])
+    def test_letter_outside_the_order_refused(self, max_len):
+        # at length 0 the only word is empty, but x * eps is keyed for each letter x
+        with pytest.raises(AlphabetError, match="^letter 'zz' outside alphabet$"):
+            audit_order(nilpotency_order(), ("zz",), max_len)
 
 
 def all_pairs_audit(order, alphabet, max_len):

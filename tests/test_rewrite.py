@@ -576,8 +576,8 @@ class TestPowerNormalize:
 
 def test_synthetic_presentation_descent_required():
     order = ReductionOrder(DEGLEX, ("a0", "a1"))
-    with pytest.raises(ValueError):
-        Rule((), ("a0",))
+    with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
+        Presentation((Rule((), ("a0",)),), order)
     p = Presentation((Rule(("a0", "a1"), ("a1", "a0")),), order)
     nf, _ = normalize(Polynomial.from_word(("a0", "a1", "a1")), p)
     assert nf == Polynomial.from_word(("a1", "a1", "a0"))
@@ -597,24 +597,41 @@ class TestRule:
         assert Rule(("t",), ("a0",), "x") != Rule(("t",), ("a0",), "y")
         assert Rule(("t",), None) != Rule(("t",), ())
 
-    def test_empty_lhs(self):
-        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
-            Rule((), ("a0",))
-        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
-            Rule(lhs=(), rhs=None, tag="x")
-
     def test_fields(self):
         rule = Rule(lhs=("t",), rhs=None)
         assert (rule.lhs, rule.rhs, rule.tag) == (("t",), None, "")
 
-    def test_make_and_replace_check_lhs(self):
-        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
-            Rule._make(((), None, ""))
-        with pytest.raises(ValueError, match="^rule lhs must be nonempty$"):
-            Rule(("t",), None)._replace(lhs=())
+
+class TestPresentationLhs:
+    """A rule is a plain record; the presentation that holds it refuses an
+    empty lhs, however the rule was built."""
+
+    ORDER = ReductionOrder(DEGLEX, ("t", "a0"))
+
+    def refused(self, *rules):
+        with pytest.raises(ValueError, match="^rule lhs must be nonempty$") as exc:
+            Presentation(rules, self.ORDER)
+        assert type(exc.value) is ValueError
+
+    def test_empty_lhs(self):
+        self.refused(Rule((), ("a0",)))
+        self.refused(Rule(lhs=(), rhs=None, tag="x"))
+        self.refused(Rule(("t",), None), Rule(("a0", "t"), ("t", "a0")), Rule((), ()))
+
+    def test_make_and_replace_checked(self):
+        made, replaced = Rule._make(((), None, "")), Rule(("t",), None)._replace(lhs=())
+        assert type(made) is type(replaced) is Rule and made == replaced == Rule((), None)
+        self.refused(made)
+        self.refused(Rule(("a0",), None), replaced)
         rule = Rule(("t",), None)._replace(tag="x")
         assert type(rule) is Rule and rule == Rule(("t",), None, "x")
-        assert Rule._make([("t",), ("a0",)]) == Rule(("t",), ("a0",))
+        assert Rule._make([("t",), ("a0",), ""]) == Rule(("t",), ("a0",))
+        with pytest.raises(TypeError):  # a plain named tuple's _make takes every field
+            Rule._make([("t",), ("a0",)])
+
+    def test_reported_before_a_letter_outside_the_alphabet(self):
+        self.refused(Rule(("t", "Q1"), None), Rule((), ("s",)))
+        self.refused(Rule((), ("R",)))
 
 
 class TestPresentationLetters:

@@ -160,6 +160,21 @@ class TestValidation:
             TMSpec(states=1, colors=1, table={(0, 0): STOP, **entry})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("states,colors,table,named", [
+        (2.5, 1, {}, "states 2.5"),
+        ("2", 1, {}, "states '2'"),
+        (1, 1.0, {(0, 0): STOP}, "colors 1.0"),
+        (2, 1, {(0, 0): STOP, ("1", 0): STOP}, "table key state '1'"),
+        (1, 2, {(0, 0): STOP, (0, 1.0): STOP}, "table key color 1.0"),
+        (2, 1, {(0, 0): Move("R", 1.0, 0), (1, 0): STOP}, "move state in entry (0, 0): 1.0"),
+        (1, 2, {(0, 0): Move("R", 0, Fraction(1)), (0, 1): STOP}, "move color in entry (0, 0): Fraction(1, 1)"),
+    ])
+    def test_numbers_must_be_integers(self, states, colors, table, named):
+        # a float target used to be accepted and run, and a float or str count died in range or <
+        with pytest.raises(ValueError) as exc:
+            TMSpec(states=states, colors=colors, table=table)
+        assert str(exc.value) == f"{named} is not an integer"
+
     @pytest.mark.parametrize("states,colors", [(-1, 1), (0, 0), (1, 0), (0, 1)])
     def test_needs_a_state_and_a_color(self, states, colors):
         with pytest.raises(ValueError, match="at least one state and one color"):
