@@ -22,13 +22,14 @@ right end (t or s).  Every reader takes its fact from a row, and
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 from typing import Callable, NamedTuple
 
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import STOP, TMConfig, TMSpec
-from .words import EPS, AlphabetError, Word, cell, color_mark, parse_word, state_mark, word_to_str
+from .words import EPS, Word, cell, color_mark, parse_word, state_mark, word_to_str
 
 _EPS_TOKENS, _ZERO_TOKENS = ["eps"], ["0"]  # the whole of a rule side: the empty word, zero
 
@@ -186,7 +187,6 @@ def parse_presentation(text: str) -> Presentation:
     kind = header.get("order", "").strip()
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
-    letter = {x: x for x in alphabet}.__getitem__  # one lookup checks a token and interns it
     rules: list[Rule] = []
     add = rules.append
     for raw in rule_lines:
@@ -195,11 +195,9 @@ def parse_presentation(text: str) -> Presentation:
         lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
         if not rhs_tokens:  # no arrow, or nothing after it
             raise ValueError(f"bad rule line: {raw!r}")
-        try:
-            lhs = EPS if lhs_tokens == _EPS_TOKENS else tuple(map(letter, lhs_tokens))
-            rhs = (None if rhs_tokens == _ZERO_TOKENS else EPS if rhs_tokens == _EPS_TOKENS
-                   else tuple(map(letter, rhs_tokens)))
-        except KeyError as exc:
-            raise AlphabetError(f"letter {exc.args[0]!r} outside alphabet in rule line: {raw.strip()!r}") from None
+        lhs = EPS if lhs_tokens == _EPS_TOKENS else tuple(map(sys.intern, lhs_tokens))
+        rhs = (None if rhs_tokens == _ZERO_TOKENS else EPS if rhs_tokens == _EPS_TOKENS
+               else tuple(map(sys.intern, rhs_tokens)))
         add(Rule(lhs, rhs, comment.strip()))
+    # the presentation refuses a rule letter outside the alphabet
     return Presentation(rules=tuple(rules), order=ReductionOrder(kind, alphabet))

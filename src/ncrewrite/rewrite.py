@@ -64,9 +64,9 @@ powers of t take about 0.12 s and 3*10^4 about 0.43 s; a power costs time
 linear in the tape that its t crosses (138 cells at 10^4 steps, 435 at
 10^5), not in the number of powers (``BENCH_longrun.json``).  In a traced
 benchmark run, the rewriting they do shows as their own time.  ``lockstep``
-and ``nilpotent_bounded`` go through ``normalize`` and ``concat``, and
-every ``normalize`` call through the entry scan, because the benchmark's
-traced mode requires calls on those spans.
+calls ``normalize``, and ``nilpotent_bounded`` calls ``normalize`` and
+``concat``; every ``normalize`` call goes through the entry scan, because
+the benchmark's traced mode requires calls on those spans.
 
 Right-hand sides.  After a rewrite the loop goes on from the state q its
 stack holds at the redex, and the rhs letters it reads from q until a
@@ -78,6 +78,10 @@ and pushes back on the input only the rest of the rhs, from the letter
 where a pattern ends.  Read one at a time they would enter the same states,
 and they lie above the normal tail, so the tail stop cannot fire among
 them: normal forms, step counts and ``BudgetExhausted`` do not change.
+The table pays for itself: a copy of the loop without it, which pushes the
+whole rhs back on the input, read decide ``wall_s`` 12.6% and simulate
+9.8% slower, worse in 5 of 5 paired 25 s runs each, and probe 1.4% faster
+(4 of 5; ``BENCH_readside.json``, ``ablations``).
 
 Compile cost.  Compiling Minsky's machine, the 1560 nilpotency and 441
 zero-divisor rules with both automata and sweep tables, costs 3.3-7.2 ms

@@ -35,12 +35,17 @@ class TMSpec:
         if self.states < 1 or self.colors < 1:
             raise ValueError(f"need at least one state and one color, got {self.states} and {self.colors}")
         # keys and moves first, so a key that is not an integer is named, not reported missing
-        for (i, j), entry in self.table.items():
+        for key, entry in self.table.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"table key {key!r} is not a (state, color) pair")
+            i, j = key
             _check_integer(i, "table key state")
             _check_integer(j, "table key color")
             if not (0 <= i < self.states and 0 <= j < self.colors):
                 raise ValueError(f"table key ({i}, {j}) out of range")
             if entry is not STOP:
+                if not isinstance(entry, Move):
+                    raise ValueError(f"table entry {entry!r} for ({i}, {j}) is neither a Move nor STOP")
                 if entry.direction not in ("L", "R"):
                     raise ValueError(f"bad direction {entry.direction!r}")
                 _check_integer(entry.state, f"move state in entry ({i}, {j}):")
@@ -173,8 +178,7 @@ def _integer(token: str, raw: str) -> int:
 
 def format_tm_spec(spec: TMSpec) -> str:
     lines = [f"states {spec.states}", f"colors {spec.colors}"]
-    for (i, j) in sorted(spec.table):
-        entry = spec.table[(i, j)]
+    for (i, j), entry in sorted(spec.table.items()):
         if entry is STOP:
             lines.append(f"rule {i} {j} -> STOP")
         else:
@@ -215,11 +219,12 @@ def format_config(c: TMConfig) -> str:
     )
 
 
-_CONFIG_FIELDS = ("left", "state", "cell", "right")
+_CONFIG_FIELDS = ("left", "state", "cell", "right")  # in the order of TMConfig's fields
+_TAPES = ("left", "right")
 
 
 def parse_config(text: str) -> TMConfig:
-    fields: dict[str, str] = {}
+    fields: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -232,14 +237,9 @@ def parse_config(text: str) -> TMConfig:
             raise ValueError(f"bad line: {raw!r} (no ':' after {key!r})")
         if key in fields:
             raise ValueError(f"bad line: {raw!r} (second {key!r} field)")
-        fields[key] = raw, value.strip()
+        # a tape is a list of colors, the state and the cell one integer each
+        fields[key] = tuple(_integer(x, raw) for x in value.split()) if key in _TAPES else _integer(value.strip(), raw)
     for key in _CONFIG_FIELDS:
         if key not in fields:
             raise ValueError(f"missing config field {key!r}")
-    (lraw, left), (sraw, state), (craw, cell), (rraw, right) = map(fields.__getitem__, _CONFIG_FIELDS)
-    return TMConfig(
-        left=tuple(_integer(x, lraw) for x in left.split()),
-        state=_integer(state, sraw),
-        current=_integer(cell, craw),
-        right=tuple(_integer(x, rraw) for x in right.split()),
-    )
+    return TMConfig(*map(fields.__getitem__, _CONFIG_FIELDS))

@@ -30,6 +30,14 @@ rm empty-lhs.rules
 echo "$err"
 test "$code" = 2
 test "$err" = "error: rule lhs must be nonempty"
+# and so is a rule letter outside the alphabet, named with its rule; the file is removed again
+printf 'alphabet: t a0 R\norder: deglex\nrule: t a0 -> zz\n' > bad-letter.rules
+code=0
+err=$(ncrewrite overlaps --presentation bad-letter.rules 2>&1) || code=$?
+rm bad-letter.rules
+echo "$err"
+test "$code" = 2
+test "$err" = "error: letter 'zz' outside alphabet in rule 0: t a0 -> zz"
 # machine commands on the README configuration, which is removed again
 printf 'left: 3\nstate: 2\ncell: 3\nright:\n' > config.txt
 # it halts after one step: exactly at a budget of 1, still running at 0

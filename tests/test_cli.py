@@ -216,7 +216,15 @@ def test_rule_letter_outside_alphabet_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "ambiguities" not in captured.out
-    assert captured.err.startswith("error: ") and "'Q3'" in captured.err
+    assert captured.err == "error: letter 'Q3' outside alphabet in rule 0: t Q3 -> R\n"
+
+
+def test_empty_lhs_reported_before_a_later_bad_letter(tmp_path, capsys):
+    path = tmp_path / "empty.rules"
+    path.write_text("alphabet: t a0 R\norder: deglex\nrule: eps -> R\nrule: zz -> R\n")
+    rc = main(["overlaps", "--presentation", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", "error: rule lhs must be nonempty\n")
 
 
 def assert_usage_error(rc, captured, *fragments):

@@ -272,13 +272,14 @@ class TestPresentationText:
         ("rule:  -> R", ValueError, "rule lhs must be nonempty"),
         ("rule: eps -> 0", ValueError, "rule lhs must be nonempty"),
         ("rule: t R R", ValueError, "bad rule line: 'rule: t R R'"),
-        ("rule: 0 -> R", AlphabetError, "letter '0' outside alphabet in rule line: 'rule: 0 -> R'"),
-        ("rule: t R -> 0 R", AlphabetError, "letter '0' outside alphabet in rule line: 'rule: t R -> 0 R'"),
-        ("rule: t eps -> R", AlphabetError, "letter 'eps' outside alphabet in rule line: 'rule: t eps -> R'"),
-        ("  rule: t Q1 -> a1  # tag", AlphabetError, "letter 'Q1' outside alphabet in rule line: 'rule: t Q1 -> a1  # tag'"),
-        ("rule: t R -> a1 Q1", AlphabetError, "letter 'a1' outside alphabet in rule line: 'rule: t R -> a1 Q1'"),
-        ("rule: t -> eps a0", AlphabetError, "letter 'eps' outside alphabet in rule line: 'rule: t -> eps a0'"),
-        ("rule: t a0 -> s", AlphabetError, "letter 's' outside alphabet in rule line: 'rule: t a0 -> s'"),
+        # the presentation names a letter outside the alphabet with its rule number and text
+        ("rule: 0 -> R", AlphabetError, "letter '0' outside alphabet in rule 0: 0 -> R"),
+        ("rule: t R -> 0 R", AlphabetError, "letter '0' outside alphabet in rule 0: t R -> 0 R"),
+        ("rule: t eps -> R", AlphabetError, "letter 'eps' outside alphabet in rule 0: t eps -> R"),
+        ("  rule: t Q1 -> a1  # tag", AlphabetError, "letter 'Q1' outside alphabet in rule 0: t Q1 -> a1"),
+        ("rule: t R -> a1 Q1", AlphabetError, "letter 'a1' outside alphabet in rule 0: t R -> a1 Q1"),
+        ("rule: t -> eps a0", AlphabetError, "letter 'eps' outside alphabet in rule 0: t -> eps a0"),
+        ("rule: t a0 -> s", AlphabetError, "letter 's' outside alphabet in rule 0: t a0 -> s"),
         ("rule: t -> ", ValueError, "bad rule line: 'rule: t -> '"),
         ("rule: t -> # tag", ValueError, "bad rule line: 'rule: t -> # tag'"),
         ("t a0 -> R", ValueError, "bad line: 't a0 -> R'"),  # no rule: prefix, a stray line
@@ -288,6 +289,33 @@ class TestPresentationText:
             parse_presentation(self.HEADER + rule + "\n")
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    def test_rule_numbered_among_the_rules(self):
+        # the number counts rules, not lines: comments, headers and blank lines are skipped
+        text = self.HEADER + "# one\n\nrule: t a0 -> R\nrule: a0 -> eps # tag\nrule: R R -> t zz\n"
+        with pytest.raises(AlphabetError) as exc:
+            parse_presentation(text)
+        assert str(exc.value) == "letter 'zz' outside alphabet in rule 2: R R -> t zz"
+
+    @pytest.mark.parametrize("text,error,message", [
+        # the presentation refuses an empty lhs before it checks any letter
+        (HEADER + "rule: eps -> R\nrule: zz -> R\n", ValueError, "rule lhs must be nonempty"),
+        (HEADER + "rule: zz -> R\nrule: eps -> R\n", ValueError, "rule lhs must be nonempty"),
+        # every line is read, and the order built, before the rules are checked
+        (HEADER + "rule: zz -> R\nrule: t R R\n", ValueError, "bad rule line: 'rule: t R R'"),
+        ("alphabet: t s a0 R\norder: nilpotency\nrule: zz -> R\n", AlphabetError,
+         "letter 's' not allowed in a nilpotency order"),
+    ], ids=["empty-lhs-first", "empty-lhs-second", "bad-rule-line", "refused-order"])
+    def test_reported_before_a_bad_letter(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_presentation(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_rule_letters_interned(self):
+        # a rule letter is the alphabet's own string object, as a compiled presentation's is
+        q = parse_presentation(self.HEADER + "rule: t a0 -> R\n")
+        assert all(x is y for x, y in zip(q.rules[0].lhs + q.rules[0].rhs, ("t", "a0", "R"), strict=True))
 
     @pytest.mark.parametrize("text", [
         "order: deglex\nrule: t a0 -> R\n",

@@ -233,3 +233,8 @@ class TestSortKey:
             ReductionOrder(DEGLEX, ("t", "a0", "t"))
         with pytest.raises(ValueError, match="repeats a letter"):
             parse_presentation("alphabet: t a0 t\norder: deglex\nrule: t -> a0\n")
+
+    def test_repr(self):
+        # the kind and the size of the alphabet, not the whole precedence list
+        assert repr(nilpotency_order()) == "ReductionOrder('nilpotency', 17 letters)"
+        assert repr(ReductionOrder(DEGLEX, ("t", "a0"))) == "ReductionOrder('deglex', 2 letters)"

@@ -110,6 +110,10 @@ class TestPolynomial:
         assert format_polynomial(y) is format_polynomial(x)
         assert format_polynomial(Polynomial.zero()) == "0"
 
+    def test_repr(self):
+        assert repr(Polynomial.from_word(("t", "R"))) == "Polynomial('1 * t R')"
+        assert repr(Polynomial.zero()) == "Polynomial('0')"
+
     def test_from_word_zero_coefficient(self):
         # a zero coefficient keeps no term, so from_word's one term can only cancel
         w = ("t", "R")

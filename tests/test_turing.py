@@ -175,6 +175,20 @@ class TestValidation:
             TMSpec(states=states, colors=colors, table=table)
         assert str(exc.value) == f"{named} is not an integer"
 
+    @pytest.mark.parametrize("table,message", [
+        ({(0, 0): ("L", 0, 0)}, "table entry ('L', 0, 0) for (0, 0) is neither a Move nor STOP"),
+        ({(0, 0): "STOP"}, "table entry 'STOP' for (0, 0) is neither a Move nor STOP"),
+        ({0: STOP}, "table key 0 is not a (state, color) pair"),
+        ({(0, 0, 0): STOP}, "table key (0, 0, 0) is not a (state, color) pair"),
+        ({"00": STOP}, "table key '00' is not a (state, color) pair"),  # a string is not a pair
+    ])
+    def test_malformed_table(self, table, message):
+        # each used to escape as an AttributeError, a TypeError or an unpacking error
+        with pytest.raises(ValueError) as exc:
+            TMSpec(states=1, colors=1, table=table)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("states,colors", [(-1, 1), (0, 0), (1, 0), (0, 1)])
     def test_needs_a_state_and_a_color(self, states, colors):
         with pytest.raises(ValueError, match="at least one state and one color"):
@@ -307,6 +321,16 @@ class TestTextFormats:
         with pytest.raises(ValueError) as exc:
             parse_config(text)
         assert str(exc.value) == f"missing config field {field!r}"
+
+    @pytest.mark.parametrize("text,line,token", [
+        ("state: x\nleft: 1\ncell: 0\n", "state: x", "x"),  # a bad line before a missing field
+        ("cell: 0 1\nleft: 1\nstate: 2\nbogus: 3\n", "cell: 0 1", "0 1"),  # the first bad line in file order
+        ("left: 1 y\nleft: 2\n", "left: 1 y", "y"),
+    ])
+    def test_config_first_bad_line_reported(self, text, line, token):
+        with pytest.raises(ValueError) as exc:
+            parse_config(text)
+        assert str(exc.value) == f"bad line: {line!r} (not an integer: {token!r})"
 
     @pytest.mark.parametrize("text", ["left\nstate: 2\ncell: 0\nright: 1\n",
                                       "left: 1\nstate: 2\ncell: 0\nright\n"])
