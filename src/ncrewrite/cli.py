@@ -3,7 +3,8 @@
 Exit codes: 0 on success or match, 1 on divergence/violation/unknown
 (an exhausted rewrite budget leaves the answer unknown), 2 on usage
 errors (argparse default) and on bad input: a malformed or missing file,
-a letter outside the alphabet, or a negative bound.
+a letter outside the alphabet, or a negative bound; 141 (128 + SIGPIPE)
+when the reader of stdout closes it early, as `head -n 1` does.
 
 When its first argument names a subcommand, `main` registers only that
 subcommand: building the parser of all ten costs about 1 ms, more than
@@ -13,6 +14,7 @@ some whole commands take.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -220,6 +222,9 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout: not bad input
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit-time flush stays quiet
+        return 141  # 128 + SIGPIPE, as a shell shows for a tool cut off the same way
     except (ValueError, OSError) as exc:  # AlphabetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 from .orders import NILPOTENCY, ZERO_DIVISOR, ReductionOrder, nilpotency_order, zerodivisor_order
 from .rewrite import Presentation, Rule
 from .turing import STOP, TMConfig, TMSpec
-from .words import EPS, Word, cell, color_mark, parse_word, state_mark, word_to_str
+from .words import EPS, Word, cell, color_mark, state_mark, word_to_str
 
 _EPS_TOKENS, _ZERO_TOKENS = ["eps"], ["0"]  # the whole of a rule side: the empty word, zero
 
@@ -169,11 +169,20 @@ def format_presentation(p: Presentation) -> str:
 
 def parse_presentation(text: str) -> Presentation:
     header: dict[str, str] = {}
-    rule_lines: list[str] = []
+    rules: list[Rule] = []
+    add = rules.append
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("rule:"):
-            rule_lines.append(raw)
+            body, _, comment = raw.split(":", 1)[1].partition("#")
+            lhs_text, _, rhs_text = body.partition("->")
+            lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
+            if not rhs_tokens:  # no arrow, or nothing after it
+                raise ValueError(f"bad rule line: {raw!r}")
+            lhs = EPS if lhs_tokens == _EPS_TOKENS else tuple(map(sys.intern, lhs_tokens))
+            rhs = (None if rhs_tokens == _ZERO_TOKENS else EPS if rhs_tokens == _EPS_TOKENS
+                   else tuple(map(sys.intern, rhs_tokens)))
+            add(Rule(lhs, rhs, comment.strip()))
         elif not line or line.startswith("#"):
             continue
         elif line.startswith(("alphabet:", "order:")):
@@ -183,21 +192,10 @@ def parse_presentation(text: str) -> Presentation:
             header[key] = value
         else:
             raise ValueError(f"bad line: {raw!r}")
-    alphabet = parse_word(header.get("alphabet", ""))
+    alphabet = tuple(map(sys.intern, header.get("alphabet", "").split()))
     kind = header.get("order", "").strip()
     if not alphabet or not kind:
         raise ValueError("missing alphabet/order header")
-    rules: list[Rule] = []
-    add = rules.append
-    for raw in rule_lines:
-        body, _, comment = raw.split(":", 1)[1].partition("#")
-        lhs_text, _, rhs_text = body.partition("->")
-        lhs_tokens, rhs_tokens = lhs_text.split(), rhs_text.split()
-        if not rhs_tokens:  # no arrow, or nothing after it
-            raise ValueError(f"bad rule line: {raw!r}")
-        lhs = EPS if lhs_tokens == _EPS_TOKENS else tuple(map(sys.intern, lhs_tokens))
-        rhs = (None if rhs_tokens == _ZERO_TOKENS else EPS if rhs_tokens == _EPS_TOKENS
-               else tuple(map(sys.intern, rhs_tokens)))
-        add(Rule(lhs, rhs, comment.strip()))
-    # the presentation refuses a rule letter outside the alphabet
+    # the order refuses its kind, a repeated letter or a token that is not a
+    # letter; the presentation an empty lhs or a rule letter outside the alphabet
     return Presentation(rules=tuple(rules), order=ReductionOrder(kind, alphabet))

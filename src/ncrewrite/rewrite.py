@@ -91,10 +91,12 @@ to build; the ``Presentation`` that holds it refuses an empty lhs in one pass
 over the rules, 43-51 µs on the 1560 nilpotency rules (three processes on the
 same host, ``BENCH_rulepath.json``).  Reading a field of a rule costs about
 20 ns more than reading a dataclass attribute, so the reduction loop reads
-``rhs`` once per step.  ``Matcher`` keeps no
-per-state lists while it inserts the patterns, and folds the failure links
-over one breadth-first list of states that grows as the loop reads it:
-0.9-1.9 ms on the nilpotency rules (1953 states).  A ``Presentation``
+``rhs`` once per step.  ``Matcher`` files each pattern id at the state
+that spells it as it inserts the pattern, its output lists growing with
+the trie, and folds the failure links over one breadth-first list of
+states that grows as the loop reads it: 1.5-2.6 ms on the nilpotency rules
+(1953 states; best of 200 builds, eight processes on the same host,
+``BENCH_onepass.json``).  A ``Presentation``
 checks every rule letter against its alphabet when it is built, one
 ``issuperset`` pass per side of the rules, 0.24-0.5 ms of the 1.4-2.9 ms
 that ``nilpotency_presentation`` takes.  The automaton is built on first
@@ -137,14 +139,11 @@ _lhs_of, _rhs_of = attrgetter("lhs"), attrgetter("rhs")
 
 def _add_term(terms: dict[Word, int], w: Word, c: int) -> None:
     """Add c * w, c nonzero, into terms, dropping the term when its coefficient becomes zero."""
-    # a new term is stored as it is: 0 + c would cost an exact rational's __radd__
-    prev = terms.get(w)
-    if prev is None:
+    c += terms.get(w, 0)
+    if c:
         terms[w] = c
-    elif prev == -c:
-        del terms[w]
     else:
-        terms[w] = prev + c
+        del terms[w]
 
 
 class Polynomial:
@@ -228,9 +227,9 @@ class Matcher:
     def __init__(self, patterns: list[Word]):
         self.lengths = list(map(len, patterns))
         goto: list[dict[str, int]] = [{}]
+        out: list[list[int]] = [[]]  # grows with goto; each pattern id is filed at the state that spells it
         n = 1  # len(goto): the id of the next new state
-        ends = []  # ends[pid]: the state that spells pattern pid
-        for pat in patterns:
+        for pid, pat in enumerate(patterns):
             if not pat:
                 raise ValueError("empty pattern")
             s = 0
@@ -238,10 +237,8 @@ class Matcher:
                 s = goto[s].setdefault(x, n)
                 if s == n:
                     goto.append({})
+                    out.append([])
                     n += 1
-            ends.append(s)
-        out: list[list[int]] = [[] for _ in range(n)]
-        for pid, s in enumerate(ends):
             out[s].append(pid)
         depth, horizon, fail = [0] * n, [0] * n, [0] * n
         root = goto[0]

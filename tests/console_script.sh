@@ -77,6 +77,21 @@ test "$code" = 1
 test "$out" = "left annihilation by t^N: unknown up to 20000"
 test "$zcode" = 1
 test "$zout" = "zero divisor: unknown up to 20000"
+# a reader that closes the pipe after one line cuts a long run short: exit 141
+# (128 + SIGPIPE) and nothing on stderr; the files are removed again
+printf 'left:\nstate: 0\ncell: 0\nright:\n' > cut.txt
+set +e
+ncrewrite lockstep --tm "$machines/antihydra.tm" --config cut.txt --steps 3000 --construction nilpotency \
+  2> cut.err | head -n 1 > cut.out
+codes="${PIPESTATUS[*]}"
+set -e
+out=$(cat cut.out)
+err=$(cat cut.err)
+rm cut.txt cut.out cut.err
+echo "$out"
+test "$codes" = "141 0"
+test "$out" = "step 0: R Q0 P0 R [ok]"
+test -z "$err"
 # the cancellation probe of the installed package: exit 0, no violation, on
 # words of up to 4 letters, which cut the structured draws short of a
 # configuration word, and on words of up to 12

@@ -227,6 +227,14 @@ def test_empty_lhs_reported_before_a_later_bad_letter(tmp_path, capsys):
     assert (rc, captured.out, captured.err) == (2, "", "error: rule lhs must be nonempty\n")
 
 
+def test_bad_rule_line_reported_before_a_bad_alphabet(tmp_path, capsys):
+    path = tmp_path / "bad.rules"
+    path.write_text("alphabet: t a00 R\norder: deglex\nrule: t R R\n")
+    rc = main(["overlaps", "--presentation", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", "error: bad rule line: 'rule: t R R'\n")
+
+
 def assert_usage_error(rc, captured, *fragments):
     assert rc == 2
     assert captured.out == ""
@@ -493,10 +501,14 @@ def test_handler_is_looked_up_when_the_parser_is_built(nilp_file, monkeypatch):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def module_env():
+    """The environment in which ``python -m ncrewrite.cli`` imports this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_module(*argv, cwd=None):
     """``python -m ncrewrite.cli ARGV`` in a process of its own, as the command runs."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "ncrewrite.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "ncrewrite.cli", *argv], cwd=cwd, env=module_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -528,6 +540,22 @@ def test_process_missing_config(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "missing.txt" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_process_closed_stdout(tmp_path):
+    # the reader takes one line and closes the pipe, as `head -n 1` does: exit
+    # 128 + SIGPIPE with nothing on stderr (about 550 kB are left unwritten)
+    (tmp_path / "blank.txt").write_text("left:\nstate: 0\ncell: 0\nright:\n")
+    machine = Path(__file__).resolve().parent / "machines" / "antihydra.tm"
+    with subprocess.Popen(
+        [sys.executable, "-m", "ncrewrite.cli", "lockstep", "--tm", str(machine), "--config", "blank.txt",
+         "--steps", "3000", "--construction", "nilpotency"],
+        cwd=tmp_path, env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=120), first, err) == (141, "step 0: R Q0 P0 R [ok]\n", "")
 
 
 def test_console_script(tmp_path):

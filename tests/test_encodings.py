@@ -328,3 +328,21 @@ class TestPresentationText:
         with pytest.raises(ValueError) as exc:
             parse_presentation(text)
         assert str(exc.value) == "missing alphabet/order header"
+
+    @pytest.mark.parametrize("text,error,message", [
+        # the first bad line in file order, before a later bad line, a missing header or a bad alphabet
+        (HEADER + "rule: t R R\njunk\n", ValueError, "bad rule line: 'rule: t R R'"),
+        (HEADER + "rule: t R R\norder: deglex\n", ValueError, "bad rule line: 'rule: t R R'"),
+        ("rule: t R R\n", ValueError, "bad rule line: 'rule: t R R'"),
+        ("alphabet: t a00 R\norder: deglex\nrule: t R R\n", ValueError, "bad rule line: 'rule: t R R'"),
+        # then what the order refuses: its kind, then a repeated letter, then a token that is not a letter
+        ("alphabet: eps\norder: deglex\n", AlphabetError, "not a letter: 'eps'"),
+        ("alphabet: a00 a00\norder: deglex\n", ValueError, "order precedence repeats a letter: a00 a00"),
+        ("alphabet: t a00\norder: bogus\n", ValueError, "unknown order kind 'bogus'"),
+    ], ids=["before-a-stray-line", "before-a-second-header", "before-a-missing-header",
+            "before-a-bad-alphabet", "eps-alphabet", "repeated-letter", "kind-before-letters"])
+    def test_one_error_order(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_presentation(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
